@@ -36,6 +36,22 @@ void BM_FftConvolution(benchmark::State& state) {
 }
 BENCHMARK(BM_FftConvolution)->Arg(256)->Arg(512)->Arg(1024);
 
+void BM_FftConvolutionCachedSpectrum(benchmark::State& state) {
+  // The DVFS layer's case: one operand is the work PDF, whose spectrum the
+  // ServiceModel caches, so a convolution is one forward + one inverse.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(2);
+  std::vector<double> a(n), b(n);
+  for (double& x : a) x = rng.uniform();
+  for (double& x : b) x = rng.uniform();
+  const Spectrum b_spectrum =
+      real_spectrum(b, fft_convolution_size(a.size(), b.size()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(convolve(a, b_spectrum, b.size()));
+  }
+}
+BENCHMARK(BM_FftConvolutionCachedSpectrum)->Arg(256)->Arg(512)->Arg(1024);
+
 void BM_EquivalentQueueDeparture(benchmark::State& state) {
   // Departure instants hit the fresh-convolution cache: near-zero cost.
   const ServiceModel& model = shared_model();

@@ -188,7 +188,6 @@ void JointOptimizer::finalize_plan(JointPlan& plan, double utilization,
   // A margin-violating placement is never SLA-feasible, but it still has
   // best-effort paths — evaluate them so optimize() can rank fallbacks.
   const bool placement_ok = plan.placement.feasible;
-  const int hosts = topo_->num_hosts();
 
   // Server budget: the SLA minus what the network actually needs at its
   // 95th percentile round trip.

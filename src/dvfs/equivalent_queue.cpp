@@ -10,15 +10,12 @@ EquivalentQueue::EquivalentQueue(const ServiceModel* model,
   if (queue_len == 0) throw std::invalid_argument("empty queue");
   if (fresh_) return;  // serve everything from the shared cache lazily
 
-  const DiscreteDistribution residual =
-      model_->work().conditional_remaining(in_service_done);
   owned_.reserve(queue_len);
-  owned_.push_back(residual);
-  const double eps = model_->config().truncate_eps;
+  owned_.push_back(model_->work().conditional_remaining(in_service_done));
   for (std::size_t i = 1; i < queue_len; ++i) {
     // R_ie = residual * work^(*i); build incrementally with one convolution
     // per queued request (n convolutions total, as in section III-C).
-    owned_.push_back(owned_.back().convolve(model_->work()).truncated(eps));
+    owned_.push_back(model_->convolve_work(owned_.back()));
   }
 }
 

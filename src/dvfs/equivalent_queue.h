@@ -10,7 +10,8 @@
 //   * arrival instant (core mid-request, `in_service_done` > 0): queue[0]
 //     is replaced by its conditional remaining-work distribution R0e, and
 //     R_ie = R0e * work^(*i) — the n convolutions the paper accounts for
-//     as scheduling overhead.
+//     as scheduling overhead. Each is ServiceModel::convolve_work: one
+//     forward and one inverse transform against the cached work spectrum.
 //
 // The planner never builds one of these: its per-K DVFS decisions go
 // through the precomputed per-frequency CCDF tables in dvfs/vp_table.h

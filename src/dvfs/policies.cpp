@@ -1,27 +1,10 @@
 #include "dvfs/policies.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "dvfs/equivalent_queue.h"
 
 namespace eprons {
-
-Freq lowest_feasible_frequency(const std::vector<Freq>& grid,
-                               const std::function<bool(Freq)>& feasible) {
-  if (!feasible(grid.back())) return grid.back();
-  std::size_t lo = 0;
-  std::size_t hi = grid.size() - 1;  // known feasible
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (feasible(grid[mid])) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return grid[lo];
-}
 
 Freq MaxFreqPolicy::select_frequency(SimTime, std::span<const QueuedRequest>,
                                      Work) {

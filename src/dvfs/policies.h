@@ -16,7 +16,6 @@
 //     exactly the behavior Fig. 12(a) penalizes.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -149,9 +148,25 @@ class TimeTraderPolicy final : public DvfsPolicy {
 
 /// Shared selection helper: smallest grid frequency satisfying a monotone
 /// predicate (true at f_max implies true for all higher frequencies);
-/// returns f_max when even it fails. Binary search per section III-C.
+/// returns f_max when even it fails. Binary search per section III-C. The
+/// predicate is a template parameter, so a decision neither allocates nor
+/// calls through a type-erased wrapper.
+template <typename Feasible>
 Freq lowest_feasible_frequency(const std::vector<Freq>& grid,
-                               const std::function<bool(Freq)>& feasible);
+                               Feasible&& feasible) {
+  if (!feasible(grid.back())) return grid.back();
+  std::size_t lo = 0;
+  std::size_t hi = grid.size() - 1;  // known feasible
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (feasible(grid[mid])) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return grid[lo];
+}
 
 /// Factory by name: "max" | "rubik" | "rubik+" | "eprons" | "timetrader",
 /// plus the ablation variants "eprons-noedf" (no EDF reordering),

@@ -1,5 +1,6 @@
 #include "dvfs/service_model.h"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -52,11 +53,31 @@ const DiscreteDistribution& ServiceModel::fresh_convolution(
     std::size_t count) const {
   if (count == 0) throw std::invalid_argument("count must be >= 1");
   while (conv_cache_.size() < count) {
-    conv_cache_.push_back(conv_cache_.back()
-                              .convolve(work_)
-                              .truncated(config_.truncate_eps));
+    conv_cache_.push_back(convolve_work(conv_cache_.back()));
   }
   return conv_cache_[count - 1];
+}
+
+DiscreteDistribution ServiceModel::convolve_work(
+    const DiscreteDistribution& d) const {
+  const std::size_t n = fft_convolution_size(d.size(), work_.size());
+  if (n == 0) return d.convolve(work_).truncated(config_.truncate_eps);
+  // DiscreteDistribution::convolve with the cached spectrum standing in
+  // for the work PDF's transform: same offset, step and normalization.
+  std::vector<double> out = convolve(d.pmf(), work_spectrum(n), work_.size());
+  return DiscreteDistribution(d.offset() + work_.offset(), d.step(),
+                              std::move(out))
+      .truncated(config_.truncate_eps);
+}
+
+const Spectrum& ServiceModel::work_spectrum(std::size_t n) const {
+  if (!std::has_single_bit(n)) {
+    throw std::invalid_argument("spectrum size must be a power of two");
+  }
+  Spectrum& spectrum =
+      work_spectra_.at(static_cast<std::size_t>(std::countr_zero(n)));
+  if (spectrum.size() != n) spectrum = real_spectrum(work_.pmf(), n);
+  return spectrum;
 }
 
 }  // namespace eprons

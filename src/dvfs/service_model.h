@@ -15,12 +15,18 @@
 //
 // The model also caches the "equivalent request" convolutions: the work of
 // k back-to-back fresh requests is work^(*k) — computed once per k and
-// reused, the optimization described in section III-C.
+// reused, the optimization described in section III-C. Every convolution
+// the DVFS layer runs has the work PDF as one operand, so the model also
+// caches that operand's forward spectrum per transform size: each link of
+// the fresh chain and of the arrival-instant residual chain costs one
+// forward and one inverse transform (stats/fft.h).
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "stats/distribution.h"
+#include "stats/fft.h"
 #include "util/types.h"
 
 namespace eprons {
@@ -68,11 +74,27 @@ class ServiceModel {
   /// exactly that, after which calls at warmed depths are read-only.
   const DiscreteDistribution& fresh_convolution(std::size_t count) const;
 
+  /// `d` convolved with the work PDF, truncated at truncate_eps: one link
+  /// of both equivalent-request chains. Bit-identical to
+  /// d.convolve(work()).truncated(truncate_eps); the FFT path reads the
+  /// work PDF's spectrum from work_spectrum().
+  DiscreteDistribution convolve_work(const DiscreteDistribution& d) const;
+
+  /// Forward spectrum of the work PDF zero-padded to `n` (a power of
+  /// two), built on first use. Same contract as fresh_convolution:
+  /// building a size is thread-unsafe, reading a built one is not — and
+  /// constructing a VpTable builds every size the fresh chain up to its
+  /// depth uses. References stay valid for the model's lifetime.
+  const Spectrum& work_spectrum(std::size_t n) const;
+
  private:
   DiscreteDistribution work_;
   ServiceModelConfig config_;
   std::vector<Freq> grid_;
   mutable std::vector<DiscreteDistribution> conv_cache_;  // [k-1] = work^(*k)
+  // [log2 n] = work spectrum at transform size n (empty until used); a
+  // fixed array so growing one size never moves another.
+  mutable std::array<Spectrum, 48> work_spectra_;
 };
 
 }  // namespace eprons

@@ -33,9 +33,10 @@ class VpTable {
   /// Precomputes CCDF-backed equivalent-work tables for queue depths
   /// 1..max_depth over `model`'s frequency grid. Runs the model's FFT
   /// convolutions eagerly — which also warms ServiceModel's own cache up
-  /// to max_depth, making later fresh_convolution() calls read-only (and
-  /// therefore safe from concurrent planner threads). The model must
-  /// outlive the table.
+  /// to max_depth, and the work spectra those convolutions use, making
+  /// later fresh_convolution() and work_spectrum() calls at those depths
+  /// and sizes read-only (and therefore safe from concurrent planner
+  /// threads). The model must outlive the table.
   VpTable(const ServiceModel* model, std::size_t max_depth);
 
   const ServiceModel& model() const { return *model_; }

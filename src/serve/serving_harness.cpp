@@ -79,6 +79,8 @@ ServingHarness::ServingHarness(const Topology* topo,
   }
   request_path_.resize(static_cast<std::size_t>(hosts));
   reply_path_.resize(static_cast<std::size_t>(hosts));
+  request_hops_.resize(static_cast<std::size_t>(hosts));
+  reply_hops_.resize(static_cast<std::size_t>(hosts));
 }
 
 ServingHarness::~ServingHarness() = default;
@@ -274,6 +276,12 @@ void ServingHarness::begin_epoch() {
   latency_ =
       std::make_unique<PathLatencyEstimator>(&offered_load_,
                                              LinkLatencyModel{});
+  for (int h = 0; h < topo_->num_hosts(); ++h) {
+    if (h == config_.aggregator_host) continue;
+    const auto slot = static_cast<std::size_t>(h);
+    latency_->prepare(request_path_[slot], &request_hops_[slot]);
+    latency_->prepare(reply_path_[slot], &reply_hops_[slot]);
+  }
   network_power_w_ = report.network_power;
   emit_schedule_epoch();
 
@@ -355,9 +363,8 @@ void ServingHarness::fan_out(SimTime arrived) {
   (void)routing_->choose_aggregator(admission_context(now));
   for (int h = 0; h < hosts; ++h) {
     if (h == config_.aggregator_host) continue;
-    const SimTime net_req =
-        latency_->sample_latency(request_path_[static_cast<std::size_t>(h)],
-                                 sim_rng_);
+    const SimTime net_req = latency_->sample_prepared(
+        request_hops_[static_cast<std::size_t>(h)], sim_rng_);
     ServerRequest request;
     request.meta.id = next_subrequest_++;
     request.tag = static_cast<std::int64_t>(query);
@@ -408,8 +415,8 @@ SimTime ServingHarness::reply_transmission_time() const {
 void ServingHarness::on_subquery_complete(int isn_host,
                                           const ServerCompletion& completion) {
   const SimTime now = completion.completed_at;
-  SimTime net_rep = latency_->sample_latency(
-      reply_path_[static_cast<std::size_t>(isn_host)], sim_rng_);
+  SimTime net_rep = latency_->sample_prepared(
+      reply_hops_[static_cast<std::size_t>(isn_host)], sim_rng_);
   if (config_.model_incast) {
     const SimTime tx = reply_transmission_time();
     const SimTime start = std::max(now + net_rep, agg_downlink_busy_until_);

@@ -233,6 +233,11 @@ class ServingHarness {
   std::vector<Path> reply_path_;
   LinkUtilization offered_load_;
   std::unique_ptr<PathLatencyEstimator> latency_;
+  // Per-hop sampling constants of request_path_/reply_path_ under
+  // offered_load_, prepared once per epoch (sample_prepared draws the bits
+  // sample_latency would).
+  std::vector<std::vector<PreparedHop>> request_hops_;
+  std::vector<std::vector<PreparedHop>> reply_hops_;
   Power network_power_w_ = 0.0;
   int epoch_index_ = -1;
 

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/types.h"
@@ -52,7 +51,10 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  // A binary heap under Later (std::push_heap / std::pop_heap), kept as a
+  // plain vector so step() can move the earliest callback out instead of
+  // copying it from a const top().
+  std::vector<Entry> heap_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
 };

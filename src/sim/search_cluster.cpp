@@ -58,7 +58,7 @@ SearchCluster::SearchCluster(const SearchClusterConfig& config,
   }
 }
 
-Path SearchCluster::path_for(FlowId flow) const {
+const Path& SearchCluster::path_for(FlowId flow) const {
   const auto& paths = inputs_.placement->flow_paths;
   if (flow < 0 || static_cast<std::size_t>(flow) >= paths.size() ||
       paths[static_cast<std::size_t>(flow)].size() < 2) {
@@ -72,12 +72,7 @@ const Path& SearchCluster::effective_path(FlowId flow) const {
     const auto it = path_override_.find(flow);
     if (it != path_override_.end()) return it->second;
   }
-  const auto& paths = inputs_.placement->flow_paths;
-  if (flow < 0 || static_cast<std::size_t>(flow) >= paths.size() ||
-      paths[static_cast<std::size_t>(flow)].size() < 2) {
-    throw std::invalid_argument("query flow has no routed path");
-  }
-  return paths[static_cast<std::size_t>(flow)];
+  return path_for(flow);
 }
 
 SimTime SearchCluster::drop_penalty() const {
@@ -121,6 +116,19 @@ void SearchCluster::recompute_query_paths() {
     update(inputs_.request_flow[slot], agg, h, request_down_, slot);
     update(inputs_.reply_flow[slot], h, agg, reply_down_, slot);
   }
+  prepare_query_hops();
+}
+
+void SearchCluster::prepare_query_hops() {
+  const auto hosts = static_cast<std::size_t>(inputs_.topo->num_hosts());
+  request_hops_.resize(hosts);
+  reply_hops_.resize(hosts);
+  for (std::size_t h = 0; h < hosts; ++h) {
+    if (static_cast<int>(h) == config_.aggregator_host) continue;
+    latency_.prepare(effective_path(inputs_.request_flow[h]),
+                     &request_hops_[h]);
+    latency_.prepare(effective_path(inputs_.reply_flow[h]), &reply_hops_[h]);
+  }
 }
 
 void SearchCluster::schedule_next_fault() {
@@ -155,11 +163,6 @@ void SearchCluster::issue_query() {
   const int hosts = inputs_.topo->num_hosts();
   inflight_[query] = PendingQuery{now, hosts - 1, now};
 
-  const SimTime network_budget =
-      config_.latency_constraint - config_.server_budget;
-  const SimTime request_budget =
-      network_budget * config_.request_budget_fraction;
-
   for (int h = 0; h < hosts; ++h) {
     if (h == config_.aggregator_host) continue;
     if (faults_ && request_down_[static_cast<std::size_t>(h)]) {
@@ -171,9 +174,8 @@ void SearchCluster::issue_query() {
       });
       continue;
     }
-    const Path request_path =
-        effective_path(inputs_.request_flow[static_cast<std::size_t>(h)]);
-    const SimTime net_req = latency_.sample_latency(request_path, rng_);
+    const SimTime net_req = latency_.sample_prepared(
+        request_hops_[static_cast<std::size_t>(h)], rng_);
 
     ServerRequest request;
     request.meta.id = next_subrequest_++;
@@ -196,7 +198,6 @@ void SearchCluster::issue_query() {
           request.meta.deadline_server + slack;
       servers_[static_cast<std::size_t>(h)]->submit(request);
     });
-    (void)request_budget;
   }
 }
 
@@ -226,9 +227,8 @@ void SearchCluster::on_subquery_complete(int isn_host,
     });
     return;
   }
-  const Path reply_path =
-      effective_path(inputs_.reply_flow[static_cast<std::size_t>(isn_host)]);
-  SimTime net_rep = latency_.sample_latency(reply_path, rng_);
+  SimTime net_rep = latency_.sample_prepared(
+      reply_hops_[static_cast<std::size_t>(isn_host)], rng_);
   if (config_.model_incast) {
     // The reply queues behind other replies converging on the aggregator's
     // downlink (partition-aggregate incast), then serializes.
@@ -318,6 +318,7 @@ ClusterMetrics SearchCluster::run() {
   const obs::ScopedSpan span(obs::tracer(), "sim_run", "sim", "utilization",
                              config_.target_utilization);
   const SimTime warmup = effective_warmup();
+  prepare_query_hops();
   schedule_next_arrival();
   if (faults_) schedule_next_fault();
   events_.run_until(warmup);

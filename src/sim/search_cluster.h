@@ -141,7 +141,8 @@ class SearchCluster {
   void issue_query();
   void schedule_next_arrival();
   void on_subquery_complete(int isn_host, const ServerCompletion& completion);
-  Path path_for(FlowId flow) const;
+  /// The plan's routed path of a query flow (throws when unrouted).
+  const Path& path_for(FlowId flow) const;
   SimTime effective_warmup() const;
 
   /// Reply-arrival bookkeeping shared by real replies and fault drops.
@@ -151,6 +152,8 @@ class SearchCluster {
   const Path& effective_path(FlowId flow) const;
   /// Re-derives per-flow routes/down flags from the current overlay state.
   void recompute_query_paths();
+  /// Prepares every ISN's request and reply hops on its effective path.
+  void prepare_query_hops();
   void schedule_next_fault();
   SimTime drop_penalty() const;
 
@@ -170,6 +173,11 @@ class SearchCluster {
   RequestId next_subrequest_ = 0;
   std::unordered_map<RequestId, PendingQuery> inflight_;
   std::size_t queries_overflowed_ = 0;
+  // Per-hop sampling constants of each ISN's effective request and reply
+  // path (by host id), prepared at run start and after every reroute;
+  // sample_prepared draws the bits sample_latency would.
+  std::vector<std::vector<PreparedHop>> request_hops_;
+  std::vector<std::vector<PreparedHop>> reply_hops_;
 
   // Fault replay state (unused when inputs.fault_timeline is null).
   std::unique_ptr<FaultCursor> faults_;

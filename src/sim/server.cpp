@@ -47,11 +47,9 @@ void SimServer::advance_progress(Core& core, SimTime now) {
   core.last_progress = now;
 }
 
-std::vector<QueuedRequest> SimServer::snapshot(const Core& core) const {
-  std::vector<QueuedRequest> view;
-  view.reserve(core.queue.size());
-  for (const ServerRequest& r : core.queue) view.push_back(r.meta);
-  return view;
+void SimServer::snapshot(const Core& core) {
+  view_.clear();
+  for (const ServerRequest& r : core.queue) view_.push_back(r.meta);
 }
 
 void SimServer::reselect_and_schedule(int core_index, bool at_departure) {
@@ -74,10 +72,10 @@ void SimServer::reselect_and_schedule(int core_index, bool at_departure) {
                      });
   }
 
-  const std::vector<QueuedRequest> view = snapshot(core);
+  snapshot(core);
   const Work done = at_departure ? 0.0 : core.done;
   core.freq = core.policy->select_frequency(
-      now, std::span<const QueuedRequest>(view), done);
+      now, std::span<const QueuedRequest>(view_), done);
   core.meter.set_state(now, /*active=*/true, core.freq);
   // DES hot path: a single wait-free relaxed add per DVFS decision.
   static obs::Counter& freq_selections =

@@ -93,13 +93,17 @@ class SimServer {
   void advance_progress(Core& core, SimTime now);
   void reselect_and_schedule(int core_index, bool at_departure);
   void complete_head(int core_index, std::uint64_t epoch);
-  std::vector<QueuedRequest> snapshot(const Core& core) const;
+  /// Fills view_ with the policy-visible queue of `core`.
+  void snapshot(const Core& core);
 
   EventQueue* events_;
   const ServiceModel* service_model_;
   const ServerPowerModel* power_model_;
   CompletionHandler on_complete_;
   std::vector<Core> cores_;
+  // Reused by every decision (one at a time: the DES is single-threaded),
+  // so a DVFS decision does not allocate.
+  std::vector<QueuedRequest> view_;
   int last_completion_core_ = -1;
 };
 

@@ -5,11 +5,15 @@
 // the average miss budget.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
 
 #include "dvfs/equivalent_queue.h"
 #include "dvfs/policies.h"
 #include "dvfs/synthetic_workload.h"
+#include "dvfs/vp_table.h"
+#include "golden_digest.h"
 #include "util/rng.h"
 
 namespace eprons {
@@ -414,6 +418,92 @@ TEST(SyntheticWorkload, HeavyTailPresent) {
   // p99 service time well above the mean (heavy tail).
   const double p99 = work.quantile(0.99);
   EXPECT_GT(p99, 1.8 * work.mean());
+}
+
+// ---- Golden bits of the convolution engine ----
+//
+// Constants captured from the reference radix-2 butterfly (on-the-fly
+// twiddle recurrence, std::complex arithmetic) on the paper-scale 512-bin
+// work PDF: the transform may change how it computes, never what.
+
+ServiceModel golden_model() {
+  Rng rng(1);
+  SyntheticWorkloadConfig config;
+  config.samples = 50000;
+  config.bins = 512;
+  return make_search_service_model(config, rng);
+}
+
+TEST(ConvolutionGolden, ResidualEquivalentQueuesMatchReferenceBits) {
+  const ServiceModel model = golden_model();
+  Rng rng(7);
+  BitDigest digest;
+  for (int trial = 0; trial < 24; ++trial) {
+    // Spans the support and a little past it (the point-mass residual).
+    const Work done = rng.uniform(0.0, 1.05 * model.work().max_value());
+    for (std::size_t depth = 2; depth <= 4; ++depth) {
+      const EquivalentQueue queue(&model, depth, done);
+      for (std::size_t i = 0; i < depth; ++i) {
+        digest.mix_distribution(queue.at(i));
+      }
+    }
+  }
+  EXPECT_EQ(digest.value(), 0xa9eaeaa3b034191bull);
+}
+
+TEST(ConvolutionGolden, FreshConvolutionsMatchReferenceBits) {
+  const ServiceModel model = golden_model();
+  BitDigest digest;
+  for (std::size_t count = 1; count <= 8; ++count) {
+    digest.mix_distribution(model.fresh_convolution(count));
+  }
+  EXPECT_EQ(digest.value(), 0xf5e86db715629040ull);
+}
+
+// The parallel planner's pre-warm contract (run under TSan in CI): once a
+// VpTable is built over a model, fresh_convolution up to its depth and the
+// work spectra that chain used are plain reads, safe from many threads.
+TEST(VpTable, PrewarmedCachesServeConcurrentReaders) {
+  const ServiceModel model = test_model();
+  constexpr std::size_t kDepth = 8;
+  const VpTable table(&model, kDepth);
+  std::vector<const DiscreteDistribution*> fresh;
+  std::vector<std::size_t> sizes;
+  std::vector<const Spectrum*> spectra;
+  for (std::size_t depth = 1; depth <= kDepth; ++depth) {
+    fresh.push_back(&model.fresh_convolution(depth));
+    const std::size_t n =
+        fft_convolution_size(fresh.back()->size(), model.work().size());
+    if (depth < kDepth && n != 0) {
+      sizes.push_back(n);
+      spectra.push_back(&model.work_spectrum(n));
+    }
+  }
+  ASSERT_FALSE(sizes.empty());
+  const double serial_vp = table.violation_probability(kDepth, ms(60.0), 0);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      for (int rep = 0; rep < 20; ++rep) {
+        for (std::size_t depth = 1; depth <= kDepth; ++depth) {
+          const DiscreteDistribution& d = model.fresh_convolution(depth);
+          const DiscreteDistribution* expect = fresh[depth - 1];
+          if (&d != expect || d.mean() != expect->mean()) ++mismatches;
+        }
+        for (std::size_t i = 0; i < sizes.size(); ++i) {
+          const Spectrum& s = model.work_spectrum(sizes[i]);
+          if (&s != spectra[i] || s.re[1] != spectra[i]->re[1]) ++mismatches;
+        }
+        if (table.violation_probability(kDepth, ms(60.0), 0) != serial_vp) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

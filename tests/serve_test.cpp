@@ -15,10 +15,13 @@
 #include <gtest/gtest.h>
 
 #include "core/scenario.h"
+#include "fault/fault_injector.h"
+#include "golden_digest.h"
 #include "obs/jsonl.h"
 #include "serve/arrivals.h"
 #include "serve/policies.h"
 #include "serve/serving_harness.h"
+#include "topo/aggregation.h"
 
 namespace eprons {
 namespace {
@@ -507,6 +510,98 @@ TEST(SearchClusterBound, OverflowCounterUnderOpenLoopOverload) {
   const ScenarioResult r3 = scn.run(background, sane);
   EXPECT_EQ(r3.metrics.queries_overflowed, 0u);
   EXPECT_GT(r3.metrics.queries_completed, 0u);
+}
+
+// ---- DES golden digest ----
+//
+// Both partition-aggregate simulators (ServingHarness, SearchCluster)
+// pinned bit for bit to constants captured from the reference
+// implementation. Event order, RNG consumption, latency sampling and every
+// DVFS decision feed these digests, so a change that alters any modeled
+// output fails here even when every property test above still holds.
+
+void mix_latency(BitDigest* digest, const LatencyStats& stats) {
+  digest->mix_double(stats.mean);
+  digest->mix_double(stats.p50);
+  digest->mix_double(stats.p95);
+  digest->mix_double(stats.p99);
+  digest->mix_double(stats.max);
+  digest->mix(stats.count);
+}
+
+void mix_cluster(BitDigest* digest, const ClusterMetrics& m) {
+  mix_latency(digest, m.query_latency);
+  mix_latency(digest, m.network_latency);
+  mix_latency(digest, m.server_latency);
+  mix_latency(digest, m.subquery_latency);
+  digest->mix_double(m.query_miss_rate);
+  digest->mix_double(m.subquery_miss_rate);
+  digest->mix_double(m.avg_cpu_power_per_server);
+  digest->mix_double(m.total_system_power);
+  digest->mix_double(m.measured_core_utilization);
+  digest->mix(m.queries_completed);
+  digest->mix(m.subqueries_completed);
+  digest->mix(m.flows_rerouted);
+  digest->mix(m.subqueries_dropped);
+  digest->mix(m.outage_sla_misses);
+}
+
+TEST(DesGolden, ServingHarnessWindowsMatchReferenceBits) {
+  const Scenario scn = serve_scenario();
+  ServingHarnessConfig config = harness_config(scn, 120.0);
+  config.arrivals.horizon = sec(120.0);
+  config.epoch.transition.epoch_length = sec(40.0);  // two re-plans
+  config.report_window = sec(20.0);
+  config.admission = "sla-aware";
+  ServingHarness harness(&scn.topology(), &scn.service_model(),
+                         &scn.power_model(), config);
+  const ServingReport report = harness.run();
+  ASSERT_EQ(report.epochs, 3);
+  BitDigest digest;
+  for (const auto& window : report.windows) {
+    digest.mix_string(obs::to_jsonl(window));
+  }
+  mix_latency(&digest, report.latency);
+  digest.mix_double(report.total_energy_j);
+  digest.mix(static_cast<std::uint64_t>(report.subqueries_completed));
+  digest.mix(static_cast<std::uint64_t>(report.sla_misses));
+  EXPECT_EQ(digest.value(), 0xd289b54b5cf840ddull);
+}
+
+TEST(DesGolden, SearchClusterMetricsMatchReferenceBits) {
+  const Scenario scn = serve_scenario();
+  Rng bg_rng(3);
+  const FlowSet background =
+      make_background_flows(scn.flow_gen(), 6, 0.1, 0.1, bg_rng);
+
+  // Dense faults inside a short run on the full fabric (a consolidated
+  // subnet leaves no alternate path), so reroutes and drops both happen.
+  FaultInjectorConfig faults;
+  faults.mtbf = sec(0.3);
+  faults.mttr = sec(0.5);
+  faults.horizon = sec(2.5);
+  faults.seed = 1;
+  const FaultSchedule schedule =
+      generate_fault_schedule(scn.topology().graph(), faults);
+  ASSERT_NE(scn.fat_tree(), nullptr);
+  const AggregationPolicies policies(scn.fat_tree());
+  const std::vector<bool> full_fabric = policies.policy(0).switch_on;
+
+  ScenarioConfig config;
+  config.cluster.policy = "eprons";
+  config.cluster.target_utilization = 0.3;
+  config.cluster.warmup = sec(0.5);
+  config.cluster.duration = sec(2.0);
+  config.cluster.seed = 42;
+  BitDigest digest;
+  const ScenarioResult healthy = scn.run(background, config);
+  mix_cluster(&digest, healthy.metrics);
+  config.fault_timeline = &schedule.timeline;
+  const ScenarioResult faulted = scn.run(background, config, &full_fabric);
+  EXPECT_GT(faulted.metrics.flows_rerouted, 0u);
+  EXPECT_GT(faulted.metrics.subqueries_dropped, 0u);
+  mix_cluster(&digest, faulted.metrics);
+  EXPECT_EQ(digest.value(), 0x5b03b614d609b5aeull);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "golden_digest.h"
 #include "stats/distribution.h"
 #include "stats/fft.h"
 #include "stats/percentile.h"
@@ -73,6 +74,49 @@ TEST(Convolve, FftPathMatchesDirectLarge) {
 TEST(Convolve, EmptyInputGivesEmpty) {
   EXPECT_TRUE(convolve({}, {1.0}).empty());
   EXPECT_TRUE(convolve({1.0}, {}).empty());
+}
+
+// A 512-bin heavy-tailed PDF built from raw uniforms only (no libm), so its
+// bits depend on nothing but the RNG: an Irwin-Hall body plus a sparse
+// tail whose empty bins exercise exact zeros through the transforms.
+std::vector<double> golden_work_pmf() {
+  Rng rng(2024);
+  std::vector<double> samples(40000);
+  for (double& x : samples) {
+    x = rng.uniform() < 0.05 ? 3.0 + 9.0 * rng.uniform() * rng.uniform()
+                             : rng.uniform() + rng.uniform() + rng.uniform();
+  }
+  return DiscreteDistribution::from_samples(samples, 512).pmf();
+}
+
+// Convolution bits pinned to constants captured from the reference radix-2
+// butterfly (on-the-fly twiddle recurrence, std::complex arithmetic): every
+// residual tail pmf[i..] of the PDF convolved with the PDF, as the arrival-
+// instant residual chain does, covering both the FFT and the direct path.
+TEST(ConvolveGolden, EveryResidualTailMatchesReferenceBits) {
+  const std::vector<double> work = golden_work_pmf();
+  ASSERT_EQ(work.size(), 512u);
+  BitDigest digest;
+  for (std::size_t first = 0; first < work.size(); ++first) {
+    const std::vector<double> tail(
+        work.begin() + static_cast<std::ptrdiff_t>(first), work.end());
+    digest.mix_doubles(convolve(tail, work));
+  }
+  EXPECT_EQ(digest.value(), 0xaaf902e72f07c748ull);
+}
+
+TEST(ConvolveGolden, SelfConvolutionChainMatchesReferenceBits) {
+  // work^(*k) for k up to 6 through DiscreteDistribution (normalize, no
+  // truncation): transform sizes 1024 .. 4096.
+  const std::vector<double> work = golden_work_pmf();
+  const DiscreteDistribution base(0.0, 1.0, work);
+  DiscreteDistribution chain = base;
+  BitDigest digest;
+  for (int k = 2; k <= 6; ++k) {
+    chain = chain.convolve(base);
+    digest.mix_distribution(chain);
+  }
+  EXPECT_EQ(digest.value(), 0x206e0e2bd6cad771ull);
 }
 
 // ---- DiscreteDistribution ----

@@ -158,6 +158,9 @@ def gate_serving(paths, trajectory, max_regression):
         `serving_total_arrivals` — the serving determinism surface: the
         arrival stream and the whole windowed report are thread-count
         invariant;
+      * that fingerprint equals the newest committed `serving_fingerprint`,
+        so a change that alters any modeled serving output fails here
+        (commit a new trajectory point when the change is intended);
       * `serving_throughput_qps` (modeled completions per modeled second,
         not wall-clock) stays within `max_regression` of the newest
         committed trajectory point.
@@ -193,6 +196,22 @@ def gate_serving(paths, trajectory, max_regression):
     if ok:
         print(f"[trajectory] serving fingerprint {runs[0][1]} and "
               f"{runs[0][3]} arrivals identical across {len(runs)} runs")
+
+    pinned = [p for p in trajectory.get("trajectory", [])
+              if "serving_fingerprint" in p]
+    if not pinned:
+        print("[trajectory] FAIL: committed trajectory has no "
+              "serving_fingerprint to gate against", file=sys.stderr)
+        return False
+    committed_fp = pinned[-1]["serving_fingerprint"]
+    if fps != {committed_fp}:
+        print(f"[trajectory] FAIL: serving fingerprint {sorted(fps)} differs "
+              f"from the committed {committed_fp} "
+              f"({pinned[-1].get('label', '?')})", file=sys.stderr)
+        ok = False
+    else:
+        print(f"[trajectory] serving fingerprint matches the committed "
+              f"{committed_fp}")
 
     points = [p for p in trajectory.get("trajectory", [])
               if "serving_throughput_qps" in p]

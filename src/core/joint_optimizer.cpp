@@ -111,25 +111,12 @@ JointOptimizer::JointOptimizer(const Topology* topo,
 JointOptimizer::Assembly JointOptimizer::assemble_flows(
     const FlowSet& background) const {
   Assembly assembly;
-  // Same layout as run_search_scenario: background first, then one
-  // request/reply flow per non-aggregator host.
-  for (const Flow& f : background.flows()) {
-    assembly.flows.add(f.src_host, f.dst_host, f.demand, f.cls);
-  }
-  const int hosts = topo_->num_hosts();
-  assembly.request_flow.assign(static_cast<std::size_t>(hosts), kInvalidFlow);
-  assembly.reply_flow.assign(static_cast<std::size_t>(hosts), kInvalidFlow);
-  for (int h = 0; h < hosts; ++h) {
-    if (h == config_.aggregator_host) continue;
-    assembly.request_flow[static_cast<std::size_t>(h)] =
-        assembly.flows.add(config_.aggregator_host, h,
-                           config_.query_request_demand,
-                           FlowClass::LatencySensitive);
-    assembly.reply_flow[static_cast<std::size_t>(h)] =
-        assembly.flows.add(h, config_.aggregator_host,
-                           config_.query_reply_demand,
-                           FlowClass::LatencySensitive);
-  }
+  assembly.flows = background;
+  QueryFlows query = add_query_flows(
+      assembly.flows, config_.aggregator_host, topo_->num_hosts(),
+      config_.query_request_demand, config_.query_reply_demand);
+  assembly.request_flow = std::move(query.request);
+  assembly.reply_flow = std::move(query.reply);
   return assembly;
 }
 

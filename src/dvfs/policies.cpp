@@ -160,4 +160,8 @@ std::unique_ptr<DvfsPolicy> make_policy(const std::string& name,
   throw std::invalid_argument("unknown DVFS policy: " + name);
 }
 
+bool policy_uses_feedback(const std::string& name) {
+  return name == "timetrader";
+}
+
 }  // namespace eprons

@@ -176,4 +176,9 @@ std::unique_ptr<DvfsPolicy> make_policy(const std::string& name,
                                         const ServiceModel* model,
                                         double target_vp = 0.05);
 
+/// True for the policies that consume completion and congestion feedback
+/// (on_request_complete / on_network_congestion): "timetrader". Every other
+/// policy ignores both hooks.
+bool policy_uses_feedback(const std::string& name);
+
 }  // namespace eprons

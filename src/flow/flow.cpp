@@ -99,13 +99,20 @@ FlowSet make_background_flows(const FlowGenConfig& config, int count,
   return flows;
 }
 
-void add_query_flows(FlowSet& flows, int aggregator_host, int num_hosts,
-                     Bandwidth request_demand, Bandwidth reply_demand) {
+QueryFlows add_query_flows(FlowSet& flows, int aggregator_host, int num_hosts,
+                           Bandwidth request_demand, Bandwidth reply_demand) {
+  QueryFlows ids;
+  ids.request.assign(static_cast<std::size_t>(num_hosts), kInvalidFlow);
+  ids.reply.assign(static_cast<std::size_t>(num_hosts), kInvalidFlow);
   for (int h = 0; h < num_hosts; ++h) {
     if (h == aggregator_host) continue;
-    flows.add(aggregator_host, h, request_demand, FlowClass::LatencySensitive);
-    flows.add(h, aggregator_host, reply_demand, FlowClass::LatencySensitive);
+    const auto slot = static_cast<std::size_t>(h);
+    ids.request[slot] = flows.add(aggregator_host, h, request_demand,
+                                  FlowClass::LatencySensitive);
+    ids.reply[slot] = flows.add(h, aggregator_host, reply_demand,
+                                FlowClass::LatencySensitive);
   }
+  return ids;
 }
 
 }  // namespace eprons

@@ -92,10 +92,19 @@ FlowSet make_background_flows(const FlowGenConfig& config, int count,
                               double utilization_of_capacity, double jitter,
                               Rng& rng);
 
-/// Partition-aggregate query flows: for aggregator host `agg`, one
-/// request flow agg->isn and one reply flow isn->agg per other host.
-/// Replies are typically larger than requests (fan-in of result lists).
-void add_query_flows(FlowSet& flows, int aggregator_host, int num_hosts,
-                     Bandwidth request_demand, Bandwidth reply_demand);
+/// Ids of the partition-aggregate query flows, by host id (the
+/// aggregator's slot holds kInvalidFlow).
+struct QueryFlows {
+  std::vector<FlowId> request;  // aggregator -> host
+  std::vector<FlowId> reply;    // host -> aggregator
+};
+
+/// Partition-aggregate query flows, appended after whatever `flows` holds
+/// (the background): for each host other than the aggregator, in host
+/// order, one request flow aggregator->host then one reply flow
+/// host->aggregator. Replies are typically larger than requests (fan-in of
+/// result lists). The one query-flow layout the planner and the DES share.
+QueryFlows add_query_flows(FlowSet& flows, int aggregator_host, int num_hosts,
+                           Bandwidth request_demand, Bandwidth reply_demand);
 
 }  // namespace eprons

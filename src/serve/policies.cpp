@@ -85,18 +85,9 @@ std::unique_ptr<ShedPolicy> make_shed_policy(const std::string& name,
                               "' (built-ins: " + shed_policy_names() + ")");
 }
 
-std::unique_ptr<RoutingHint> make_routing_hint(const std::string& name,
-                                               const PolicyConfig& config) {
-  (void)config;
-  if (name == "static") return std::make_unique<StaticRoutingHint>();
-  throw std::invalid_argument("unknown routing hint '" + name +
-                              "' (built-ins: " + routing_hint_names() + ")");
-}
-
 const char* admission_policy_names() {
   return "always, token-bucket, sla-aware";
 }
 const char* shed_policy_names() { return "never, deadline"; }
-const char* routing_hint_names() { return "static"; }
 
 }  // namespace eprons

@@ -75,11 +75,4 @@ class DeadlineShedPolicy : public ShedPolicy {
   PolicyConfig config_;
 };
 
-/// The DES's single configured aggregator host.
-class StaticRoutingHint : public RoutingHint {
- public:
-  int choose_aggregator(const AdmissionContext&) override { return 0; }
-  const char* name() const override { return "static"; }
-};
-
 }  // namespace eprons

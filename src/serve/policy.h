@@ -1,16 +1,13 @@
-// Pluggable serving policies: admission, shedding, and routing hints.
+// Pluggable serving policies: admission and shedding.
 //
 // The interfaces mirror the kv_cache_sim exemplar's shape — the serving
-// harness owns the DES and calls out to small policy objects at three
+// harness drives the DES and calls out to small policy objects at two
 // decision points, so new policies never touch `src/sim` or the harness:
 //
 //   * AdmissionPolicy::decide — at each arrival: admit (dispatch or queue)
 //     or shed at the door.
 //   * ShedPolicy::should_shed — when a queued query reaches the head of the
 //     dispatch queue: drop it late (stale) or issue it.
-//   * RoutingHint::choose_aggregator — which host fronts the fan-out (the
-//     DES currently models one aggregator; the hook exists so multi-front
-//     policies slot in without an interface break).
 //
 // Policies see the planner through PolicySnapshot — a plain-value copy of
 // the chosen JointPlan's serving-relevant numbers, refreshed on every epoch
@@ -89,14 +86,6 @@ class ShedPolicy {
   virtual const char* name() const = 0;
 };
 
-class RoutingHint {
- public:
-  virtual ~RoutingHint() = default;
-  /// Host index fronting the fan-out for this query.
-  virtual int choose_aggregator(const AdmissionContext& ctx) = 0;
-  virtual const char* name() const = 0;
-};
-
 /// Tuning shared by the built-in policies (serve/policies.h); factories take
 /// the whole struct so CLI plumbing stays one flag per knob.
 struct PolicyConfig {
@@ -116,19 +105,15 @@ struct PolicyConfig {
   double deadline_fraction = 0.5;
 };
 
-/// Factories, selectable by name from util/cli (--admission=, --shed=,
-/// --routing=). Unknown names throw std::invalid_argument listing the
-/// built-ins.
+/// Factories, selectable by name from util/cli (--admission=, --shed=).
+/// Unknown names throw std::invalid_argument listing the built-ins.
 std::unique_ptr<AdmissionPolicy> make_admission_policy(
     const std::string& name, const PolicyConfig& config = {});
 std::unique_ptr<ShedPolicy> make_shed_policy(const std::string& name,
                                              const PolicyConfig& config = {});
-std::unique_ptr<RoutingHint> make_routing_hint(const std::string& name,
-                                               const PolicyConfig& config = {});
 
 /// "always, token-bucket, sla-aware" etc., for CLI error messages.
 const char* admission_policy_names();
 const char* shed_policy_names();
-const char* routing_hint_names();
 
 }  // namespace eprons

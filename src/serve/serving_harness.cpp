@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dvfs/policies.h"
 #include "obs/telemetry.h"
 #include "serve/policies.h"
 #include "util/log.h"
@@ -15,6 +14,12 @@ namespace {
 constexpr double kUsPerSecond = 1.0e6;
 constexpr double kUsPerMinute = 60.0e6;
 constexpr double kUjPerJoule = 1.0e6;
+/// Demand jitter of each epoch's background elephants.
+constexpr double kBackgroundJitter = 0.1;
+/// The planner's utilization input derived from the arrival stream is
+/// clamped to this range.
+constexpr double kMinUtilization = 0.02;
+constexpr double kMaxUtilization = 0.90;
 
 }  // namespace
 
@@ -28,14 +33,9 @@ ServingHarness::ServingHarness(const Topology* topo,
       config_(std::move(config)),
       ctrl_rng_(0),
       bg_rng_(0),
-      sim_rng_(0),
       offered_load_(&topo->graph()) {
   if (!topo_ || !service_model_ || !power_model_) {
     throw std::invalid_argument("serving harness inputs incomplete");
-  }
-  const int hosts = topo_->num_hosts();
-  if (config_.aggregator_host < 0 || config_.aggregator_host >= hosts) {
-    throw std::invalid_argument("aggregator host out of range");
   }
   if (config_.max_inflight <= 0 || config_.queue_limit < 0) {
     throw std::invalid_argument("serving bounds must be positive");
@@ -49,8 +49,22 @@ ServingHarness::ServingHarness(const Topology* topo,
   Rng base(config_.seed);
   ctrl_rng_ = base.split();
   bg_rng_ = base.split();
-  sim_rng_ = base.split();
+  const Rng sim_rng = base.split();  // DES latency/work sampling
   Rng timed_rng = base.split();
+
+  const JointOptimizerConfig& joint = config_.epoch.joint;
+  PartitionAggregateConfig core;
+  core.topo = topo_;
+  core.service_model = service_model_;
+  core.power_model = power_model_;
+  core.policy = config_.server_policy;
+  core.target_vp = config_.target_vp;
+  core.aggregator_host = joint.aggregator_host;
+  core.latency_constraint = joint.latency_constraint;
+  core.network_budget =
+      std::max(0.0, joint.latency_constraint - joint.server_budget);
+  PartitionAggregate::Listener* listener = this;
+  des_ = std::make_unique<PartitionAggregate>(core, sim_rng, listener);
   if (config_.temporal.enabled) init_temporal(timed_rng);
 
   if (config_.sink != nullptr) config_.epoch.epoch_log = config_.sink;
@@ -59,28 +73,11 @@ ServingHarness::ServingHarness(const Topology* topo,
                                                   power_model_, config_.epoch);
   admission_ = make_admission_policy(config_.admission, config_.policy);
   shed_ = make_shed_policy(config_.shed, config_.policy);
-  routing_ = make_routing_hint(config_.routing, config_.policy);
 
   const SimTime mean_service =
       service_model_->mean_service_time(service_model_->config().f_max);
   sustainable_rate_qps_ =
       power_model_->num_cores() / mean_service * kUsPerSecond;
-
-  servers_.reserve(static_cast<std::size_t>(hosts));
-  for (int h = 0; h < hosts; ++h) {
-    auto handler = [this, h](const ServerCompletion& completion) {
-      on_subquery_complete(h, completion);
-    };
-    auto factory = [this](const ServiceModel* model) {
-      return make_policy(config_.server_policy, model, config_.target_vp);
-    };
-    servers_.push_back(std::make_unique<SimServer>(
-        &events_, service_model_, power_model_, factory, handler));
-  }
-  request_path_.resize(static_cast<std::size_t>(hosts));
-  reply_path_.resize(static_cast<std::size_t>(hosts));
-  request_hops_.resize(static_cast<std::size_t>(hosts));
-  reply_hops_.resize(static_cast<std::size_t>(hosts));
 }
 
 ServingHarness::~ServingHarness() = default;
@@ -119,7 +116,7 @@ void ServingHarness::init_temporal(Rng& timed_rng) {
     gen.endpoints.num_hosts = topo_->num_hosts();
     gen.endpoints.link_capacity = topo_->link_capacity();
     gen.endpoints.hosts_per_edge = topo_->hosts_per_access_switch();
-    gen.endpoints.exclude_host = config_.aggregator_host;
+    gen.endpoints.exclude_host = config_.epoch.joint.aggregator_host;
   }
   if (gen.mean_volume_mbit <= 0) {
     gen.mean_volume_mbit = static_cast<long long>(
@@ -159,7 +156,7 @@ AdmissionContext ServingHarness::admission_context(SimTime now) const {
   AdmissionContext ctx;
   ctx.now = now;
   ctx.offered_rate_qps = arrivals_->rate_at(now) * kUsPerSecond;
-  ctx.inflight = static_cast<int>(inflight_.size());
+  ctx.inflight = static_cast<int>(des_->inflight());
   ctx.queued = static_cast<int>(dispatch_queue_.size());
   ctx.queue_limit = config_.queue_limit;
   ctx.sustainable_rate_qps = sustainable_rate_qps_;
@@ -167,57 +164,8 @@ AdmissionContext ServingHarness::admission_context(SimTime now) const {
   return ctx;
 }
 
-void ServingHarness::adopt_plan_paths() {
-  const JointPlan& plan = controller_->last_plan();
-  const auto& paths = plan.placement.flow_paths;
-  bool changed = false;
-  for (int h = 0; h < topo_->num_hosts(); ++h) {
-    if (h == config_.aggregator_host) continue;
-    const auto slot = static_cast<std::size_t>(h);
-    auto planned = [&](FlowId flow) -> const Path* {
-      if (flow < 0 || static_cast<std::size_t>(flow) >= paths.size() ||
-          paths[static_cast<std::size_t>(flow)].size() < 2) {
-        return nullptr;
-      }
-      return &paths[static_cast<std::size_t>(flow)];
-    };
-    const Path* req =
-        slot < plan.request_flow.size() ? planned(plan.request_flow[slot])
-                                        : nullptr;
-    const Path* rep =
-        slot < plan.reply_flow.size() ? planned(plan.reply_flow[slot])
-                                      : nullptr;
-    if (req != nullptr && *req != request_path_[slot]) {
-      if (!request_path_[slot].empty()) changed = true;
-      request_path_[slot] = *req;
-    }
-    if (rep != nullptr && *rep != reply_path_[slot]) {
-      if (!reply_path_[slot].empty()) changed = true;
-      reply_path_[slot] = *rep;
-    }
-    if (request_path_[slot].size() < 2 || reply_path_[slot].size() < 2) {
-      throw std::runtime_error("serving plan left a query flow unrouted");
-    }
-  }
-
-  if (changed && config_.reconfig_penalty > 0.0) {
-    // Reprogramming forwarding rules under traffic: every query currently
-    // in flight straddles the reconfiguration and pays the penalty once.
-    for (auto& [id, pending] : inflight_) {
-      if (pending.penalized) continue;
-      pending.penalty += config_.reconfig_penalty;
-      pending.penalized = true;
-      ++window_.transition_penalized;
-      ++report_.transition_penalized;
-    }
-  }
-  // New epoch: queries issued from here on may be penalized by the *next*
-  // transition.
-  for (auto& [id, pending] : inflight_) pending.penalized = false;
-}
-
 void ServingHarness::begin_epoch() {
-  const SimTime now = events_.now();
+  const SimTime now = des_->events().now();
   accrue_fixed_energy(now);
   ++epoch_index_;
 
@@ -235,7 +183,7 @@ void ServingHarness::begin_epoch() {
           shape;
   FlowSet background =
       make_background_flows(config_.flow_gen, config_.background_flows,
-                            bg_level, config_.background_jitter, bg_rng_);
+                            bg_level, kBackgroundJitter, bg_rng_);
   // Layer the temporal schedule's demand for this epoch on top of the
   // inelastic elephants; the planner consumes the combined set unchanged.
   if (schedule_ && epoch_index_ < schedule_->epochs) {
@@ -256,7 +204,7 @@ void ServingHarness::begin_epoch() {
       service_model_->mean_service_time(service_model_->config().f_max);
   const double utilization =
       std::clamp(lambda * mean_service / power_model_->num_cores(),
-                 config_.min_utilization, config_.max_utilization);
+                 kMinUtilization, kMaxUtilization);
 
   const EpochReport report =
       controller_->run_epoch(background, utilization, ctrl_rng_);
@@ -265,22 +213,22 @@ void ServingHarness::begin_epoch() {
   }
   const JointPlan& plan = controller_->last_plan();
 
-  adopt_plan_paths();
-
   // Offered load for the latency model: the plan's placement at the
   // arrival stream's actual expected message rates.
   offered_load_ = scenario_offered_load(
       topo_->graph(), plan.placement, plan.flows, plan.request_flow,
-      plan.reply_flow, query_stream_rate(lambda, config_.request_bytes),
-      query_stream_rate(lambda, config_.reply_bytes));
-  latency_ =
-      std::make_unique<PathLatencyEstimator>(&offered_load_,
-                                             LinkLatencyModel{});
-  for (int h = 0; h < topo_->num_hosts(); ++h) {
-    if (h == config_.aggregator_host) continue;
-    const auto slot = static_cast<std::size_t>(h);
-    latency_->prepare(request_path_[slot], &request_hops_[slot]);
-    latency_->prepare(reply_path_[slot], &reply_hops_[slot]);
+      plan.reply_flow, query_stream_rate(lambda, kQueryRequestBytes),
+      query_stream_rate(lambda, kQueryReplyBytes));
+  const bool paths_changed =
+      des_->adopt_plan(plan.placement, plan.request_flow, plan.reply_flow,
+                       &offered_load_);
+  if (paths_changed && config_.reconfig_penalty > 0.0) {
+    // Reprogramming forwarding rules under traffic: every query currently
+    // in flight straddles the reconfiguration and pays the penalty once.
+    const auto charged = static_cast<long long>(
+        des_->charge_inflight(config_.reconfig_penalty));
+    window_.transition_penalized += charged;
+    report_.transition_penalized += charged;
   }
   network_power_w_ = report.network_power;
   emit_schedule_epoch();
@@ -296,6 +244,13 @@ void ServingHarness::begin_epoch() {
   snapshot_.predicted_total_w = report.predicted_total;
   admission_->on_epoch(snapshot_);
   shed_->on_epoch(snapshot_);
+  // Deadline budgets of every fan-out until the next epoch.
+  server_budget_ = plan.effective_server_budget > 0.0
+                       ? plan.effective_server_budget
+                       : config_.epoch.joint.server_budget;
+  request_budget_ = std::max(0.0, config_.epoch.joint.latency_constraint -
+                                      server_budget_) *
+                    0.5;
 
   EPRONS_LOG(Info) << "serving epoch " << epoch_index_ << ": lambda "
                    << lambda * kUsPerSecond << " qps, utilization "
@@ -306,14 +261,14 @@ void ServingHarness::begin_epoch() {
 void ServingHarness::schedule_next_arrival() {
   const SimTime when = arrivals_->next();
   if (when >= config_.arrivals.horizon) return;  // kNoTime past horizon
-  events_.schedule(when, [this] {
+  des_->events().schedule(when, [this] {
     on_arrival();
     schedule_next_arrival();
   });
 }
 
 void ServingHarness::on_arrival() {
-  const SimTime now = events_.now();
+  const SimTime now = des_->events().now();
   ++window_.arrivals;
   ++report_.arrivals;
 
@@ -323,10 +278,10 @@ void ServingHarness::on_arrival() {
     ++report_.shed;
     return;
   }
-  if (static_cast<int>(inflight_.size()) < config_.max_inflight) {
+  if (static_cast<int>(des_->inflight()) < config_.max_inflight) {
     ++window_.admitted;
     ++report_.admitted;
-    fan_out(now);
+    des_->fan_out(now, server_budget_, request_budget_);
     return;
   }
   if (static_cast<int>(dispatch_queue_.size()) >= config_.queue_limit) {
@@ -338,116 +293,47 @@ void ServingHarness::on_arrival() {
   ++report_.admitted;
   ++window_.queued;
   ++report_.queued;
-  dispatch_queue_.push_back(QueuedArrival{now});
-}
-
-void ServingHarness::fan_out(SimTime arrived) {
-  const SimTime now = events_.now();
-  const RequestId query = next_query_++;
-  const int hosts = topo_->num_hosts();
-  PendingQuery pending;
-  pending.arrived = arrived;
-  pending.issued = now;
-  pending.outstanding = hosts - 1;
-  pending.epoch_issued = epoch_index_;
-  inflight_[query] = pending;
-
-  const SimTime constraint = config_.epoch.joint.latency_constraint;
-  const SimTime server_budget =
-      snapshot_.effective_server_budget > 0.0
-          ? snapshot_.effective_server_budget
-          : config_.epoch.joint.server_budget;
-  const SimTime network_budget = std::max(0.0, constraint - server_budget);
-  const SimTime request_budget = network_budget * 0.5;
-
-  (void)routing_->choose_aggregator(admission_context(now));
-  for (int h = 0; h < hosts; ++h) {
-    if (h == config_.aggregator_host) continue;
-    const SimTime net_req = latency_->sample_prepared(
-        request_hops_[static_cast<std::size_t>(h)], sim_rng_);
-    ServerRequest request;
-    request.meta.id = next_subrequest_++;
-    request.tag = static_cast<std::int64_t>(query);
-    request.net_request_latency = net_req;
-    request.work = std::max(1.0, service_model_->work().sample(sim_rng_));
-
-    events_.schedule_in(net_req, [this, h, request, server_budget,
-                                  request_budget]() mutable {
-      const SimTime arrival = events_.now();
-      request.meta.arrival = arrival;
-      request.meta.deadline_server = arrival + server_budget;
-      const SimTime slack =
-          std::max(0.0, request_budget - request.net_request_latency);
-      request.meta.deadline_with_slack = request.meta.deadline_server + slack;
-      servers_[static_cast<std::size_t>(h)]->submit(request);
-    });
-  }
+  dispatch_queue_.push_back(now);
 }
 
 void ServingHarness::drain_dispatch_queue() {
-  const SimTime now = events_.now();
+  const SimTime now = des_->events().now();
   while (!dispatch_queue_.empty() &&
-         static_cast<int>(inflight_.size()) < config_.max_inflight) {
-    const QueuedArrival head = dispatch_queue_.front();
+         static_cast<int>(des_->inflight()) < config_.max_inflight) {
+    const SimTime enqueued = dispatch_queue_.front();
+    dispatch_queue_.pop_front();
     ShedContext ctx;
     ctx.now = now;
-    ctx.enqueue_time = head.enqueued;
-    ctx.waited = now - head.enqueued;
+    ctx.enqueue_time = enqueued;
+    ctx.waited = now - enqueued;
     ctx.plan = &snapshot_;
     if (shed_->should_shed(ctx)) {
-      dispatch_queue_.pop_front();
       ++window_.late_shed;
       ++report_.late_shed;
       continue;
     }
-    dispatch_queue_.pop_front();
-    fan_out(head.enqueued);
+    des_->fan_out(enqueued, server_budget_, request_budget_);
   }
 }
 
-SimTime ServingHarness::reply_transmission_time() const {
-  const NodeId agg = topo_->host(config_.aggregator_host);
-  const LinkId downlink = topo_->graph().links_of(agg).front();
-  const Bandwidth capacity = topo_->graph().link(downlink).capacity;
-  return config_.reply_bytes * 8.0 / capacity;  // bits / Mbps == us
-}
-
-void ServingHarness::on_subquery_complete(int isn_host,
-                                          const ServerCompletion& completion) {
-  const SimTime now = completion.completed_at;
-  SimTime net_rep = latency_->sample_prepared(
-      reply_hops_[static_cast<std::size_t>(isn_host)], sim_rng_);
-  if (config_.model_incast) {
-    const SimTime tx = reply_transmission_time();
-    const SimTime start = std::max(now + net_rep, agg_downlink_busy_until_);
-    agg_downlink_busy_until_ = start + tx;
-    net_rep = (start + tx) - now;
-  }
-  const RequestId query = static_cast<RequestId>(completion.request.tag);
-  events_.schedule(now + net_rep, [this, query] { finish_subquery(query); });
-}
-
-void ServingHarness::finish_subquery(RequestId query) {
-  const auto entry = inflight_.find(query);
-  if (entry == inflight_.end()) return;
-  const SimTime now = events_.now();
-
+void ServingHarness::on_subquery_done(
+    const PendingQuery& query, const PartitionAggregate::SubqueryDone&) {
   // The SLA object is the per-sub-request tail (the paper's violation
   // probability), measured from fan-out to reply arrival, matching
   // ClusterMetrics::subquery_miss_rate in the closed-loop DES. The
   // query-level max-over-fan-out only feeds the latency percentiles.
   ++window_.subqueries;
   ++report_.subqueries_completed;
-  if (now - entry->second.issued > config_.epoch.joint.latency_constraint) {
+  if (des_->events().now() - query.issued >
+      config_.epoch.joint.latency_constraint) {
     ++window_.sla_misses;
     ++report_.sla_misses;
   }
+}
 
-  if (--entry->second.outstanding > 0) return;
-
-  const SimTime e2e = (now - entry->second.arrived) + entry->second.penalty;
-  inflight_.erase(entry);
-
+void ServingHarness::on_query_done(const PendingQuery& query) {
+  const SimTime e2e =
+      (des_->events().now() - query.arrived) + query.penalty;
   ++window_.completed;
   ++report_.completed;
   window_latency_.add(e2e);
@@ -466,7 +352,7 @@ void ServingHarness::accrue_fixed_energy(SimTime now) {
 void ServingHarness::emit_window(SimTime window_end) {
   accrue_fixed_energy(window_end);
   double cpu_uj = 0.0;
-  for (auto& server : servers_) {
+  for (auto& server : des_->servers()) {
     server->sync_energy(window_end);
     cpu_uj += server->total_cpu_energy();
   }
@@ -528,7 +414,7 @@ ServingReport ServingHarness::run() {
     const SimTime epoch_at = next_epoch * epoch_len;
     const SimTime window_at = next_window * window_len;
     const SimTime target = std::min({epoch_at, window_at, horizon});
-    events_.run_until(target);
+    des_->events().run_until(target);
     t = target;
     if (t == window_at || t == horizon) {
       emit_window(t);

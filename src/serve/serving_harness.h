@@ -10,20 +10,21 @@
 //
 // Per query: AdmissionPolicy -> fan out to every ISN (or park in a bounded
 // dispatch queue when max_inflight is reached; ShedPolicy may drop stale
-// entries at dispatch time) -> per-subquery network latency from the
-// current plan's paths -> SimServer DVFS service -> reply + incast
-// serialization at the aggregator -> query completes on the last reply.
+// entries at dispatch time) -> the PartitionAggregate core
+// (sim/partition_aggregate.h) serves the sub-queries over the current
+// plan's paths and reports each reply and each completed query back.
 //
 // Per epoch (transition.epoch_length): the harness derives the planner's
 // utilization input from the arrival stream's exact integrated rate, draws
 // the epoch's background flows from the diurnal background level, runs
 // EpochController::run_epoch (which emits its usual EpochRecord /
-// attribution / explain JSONL), adopts the new plan's query-flow paths,
-// and charges `reconfig_penalty` to queries in flight across a path
-// change — the modeled cost of reprogramming forwarding rules under
-// traffic. Per report window it emits a ServingWindowRecord on the same
-// sink (p50/p95/p99, admit/queue/shed/drop counts, energy per admitted
-// query).
+// attribution / explain JSONL), hands the core the new plan's query-flow
+// paths and offered load, and charges `reconfig_penalty` to queries in
+// flight across a path change — the modeled cost of reprogramming
+// forwarding rules under traffic. The DES aggregator is the planner's
+// (`epoch.joint.aggregator_host`). Per report window it emits a
+// ServingWindowRecord on the same sink (p50/p95/p99, admit/queue/shed/drop
+// counts, energy per admitted query).
 //
 // Determinism: the DES is serial; `--threads` only parallelizes the
 // planner inside run_epoch and the temporal scheduler's demand-matrix
@@ -36,19 +37,16 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/epoch_controller.h"
 #include "flow/timed_flow.h"
-#include "net/path_latency.h"
 #include "obs/jsonl.h"
 #include "schedule/temporal_scheduler.h"
 #include "serve/arrivals.h"
 #include "serve/policy.h"
-#include "sim/event_queue.h"
 #include "sim/metrics.h"
-#include "sim/server.h"
+#include "sim/partition_aggregate.h"
 
 namespace eprons {
 
@@ -77,15 +75,14 @@ struct TemporalServingConfig {
 struct ServingHarnessConfig {
   ArrivalStreamConfig arrivals;
   /// Epoch planning loop; `transition.epoch_length` sets the re-plan
-  /// cadence. The harness overrides `epoch.epoch_log` with `sink` when one
-  /// is given.
+  /// cadence and `joint.aggregator_host` the host that fans queries out.
+  /// The harness overrides `epoch.epoch_log` with `sink` when one is given.
   EpochControllerConfig epoch;
   /// Background-flow generator matched to the topology (Scenario::flow_gen).
   FlowGenConfig flow_gen;
-  /// Elephant count and demand jitter per epoch; the demand level follows
-  /// the diurnal background curve.
+  /// Elephants per epoch (10% demand jitter); the demand level follows the
+  /// diurnal background curve.
   int background_flows = 6;
-  double background_jitter = 0.1;
 
   /// Deadline-bound (elastic) background layer; off by default.
   TemporalServingConfig temporal;
@@ -93,7 +90,6 @@ struct ServingHarnessConfig {
   /// Policy selection (serve/policies.h built-ins, by name).
   std::string admission = "always";
   std::string shed = "never";
-  std::string routing = "static";
   PolicyConfig policy;
 
   /// DVFS policy on every ISN.
@@ -112,17 +108,6 @@ struct ServingHarnessConfig {
   /// Latency charged to every query in flight across an epoch boundary
   /// that changed its fan-out paths (forwarding-rule reprogramming), us.
   SimTime reconfig_penalty = ms(2.0);
-
-  /// Planner utilization input derived from the arrival stream is clamped
-  /// to [min_utilization, max_utilization].
-  double min_utilization = 0.02;
-  double max_utilization = 0.90;
-
-  /// Query message sizes (offered-load accounting + incast serialization).
-  double request_bytes = 1000.0;
-  double reply_bytes = 2000.0;
-  bool model_incast = true;
-  int aggregator_host = 0;
 
   /// Harness-internal streams (DES sampling, background draws, controller
   /// observations) — independent of arrivals.seed.
@@ -160,12 +145,14 @@ struct ServingReport {
   obs::ScheduleSummaryRecord schedule;
 };
 
-class ServingHarness {
+class ServingHarness : private PartitionAggregate::Listener {
  public:
   ServingHarness(const Topology* topo, const ServiceModel* service_model,
                  const ServerPowerModel* power_model,
                  ServingHarnessConfig config);
   ~ServingHarness();
+  ServingHarness(const ServingHarness&) = delete;
+  ServingHarness& operator=(const ServingHarness&) = delete;
 
   /// Runs the full horizon; emits one ServingWindowRecord per window on
   /// the sink and returns the aggregate report.
@@ -176,33 +163,21 @@ class ServingHarness {
   double sustainable_rate_qps() const { return sustainable_rate_qps_; }
 
  private:
-  struct PendingQuery {
-    SimTime arrived = 0.0;   // admission time (includes queue wait in e2e)
-    SimTime issued = 0.0;    // fan-out time (subquery SLA is measured here)
-    int outstanding = 0;
-    int epoch_issued = 0;
-    SimTime penalty = 0.0;   // accrued plan-transition cost
-    bool penalized = false;
-  };
-  struct QueuedArrival {
-    SimTime enqueued = 0.0;
-  };
+  using PendingQuery = PartitionAggregate::PendingQuery;
 
   void init_temporal(Rng& timed_rng);
   void emit_schedule_epoch();
   void begin_epoch();
-  void adopt_plan_paths();
   void schedule_next_arrival();
   void on_arrival();
-  void fan_out(SimTime arrived);
   void drain_dispatch_queue();
-  void on_subquery_complete(int isn_host, const ServerCompletion& completion);
-  void finish_subquery(RequestId query);
+  void on_subquery_done(const PendingQuery& query,
+                        const PartitionAggregate::SubqueryDone& done) override;
+  void on_query_done(const PendingQuery& query) override;
   void emit_window(SimTime window_end);
   /// Accrues (static + network) energy at the current power level up to
   /// `now` — call before the network power changes and before windows.
   void accrue_fixed_energy(SimTime now);
-  SimTime reply_transmission_time() const;
   AdmissionContext admission_context(SimTime now) const;
 
   const Topology* topo_;
@@ -210,45 +185,34 @@ class ServingHarness {
   const ServerPowerModel* power_model_;
   ServingHarnessConfig config_;
 
-  EventQueue events_;
-  std::vector<std::unique_ptr<SimServer>> servers_;  // by host id
   std::unique_ptr<ArrivalGenerator> arrivals_;
   std::unique_ptr<EpochController> controller_;
   std::unique_ptr<AdmissionPolicy> admission_;
   std::unique_ptr<ShedPolicy> shed_;
-  std::unique_ptr<RoutingHint> routing_;
 
   Rng ctrl_rng_;  // epoch-controller observation noise
   Rng bg_rng_;    // background-flow draws
-  Rng sim_rng_;   // DES latency/work sampling
 
   // Temporal layer (null when config_.temporal.enabled is false). The
   // schedule is computed once in the constructor from the 4th Rng split.
   std::unique_ptr<TemporalScheduler> scheduler_;
   std::unique_ptr<TemporalSchedule> schedule_;
 
-  // Plan-derived state, refreshed each epoch.
+  // Plan-derived state, refreshed each epoch. The core samples latency
+  // from offered_load_, so it is declared first and outlives the core.
   PolicySnapshot snapshot_;
-  std::vector<Path> request_path_;  // by host id (aggregator slot empty)
-  std::vector<Path> reply_path_;
   LinkUtilization offered_load_;
-  std::unique_ptr<PathLatencyEstimator> latency_;
-  // Per-hop sampling constants of request_path_/reply_path_ under
-  // offered_load_, prepared once per epoch (sample_prepared draws the bits
-  // sample_latency would).
-  std::vector<std::vector<PreparedHop>> request_hops_;
-  std::vector<std::vector<PreparedHop>> reply_hops_;
+  SimTime server_budget_ = 0.0;   // per fan-out, from the plan
+  SimTime request_budget_ = 0.0;
   Power network_power_w_ = 0.0;
   int epoch_index_ = -1;
 
   double sustainable_rate_qps_ = 0.0;
 
-  // Serving state.
-  RequestId next_query_ = 0;
-  RequestId next_subrequest_ = 0;
-  std::unordered_map<RequestId, PendingQuery> inflight_;
-  std::deque<QueuedArrival> dispatch_queue_;
-  SimTime agg_downlink_busy_until_ = 0.0;
+  // Serving state: the DES core (queries in flight, servers, event queue)
+  // and, in front of it, the dispatch queue of admission times.
+  std::unique_ptr<PartitionAggregate> des_;
+  std::deque<SimTime> dispatch_queue_;
 
   // Window + total accounting.
   obs::ServingWindowRecord window_;

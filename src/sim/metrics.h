@@ -51,11 +51,6 @@ struct ClusterMetrics {
   std::size_t queries_completed = 0;
   std::size_t subqueries_completed = 0;
 
-  /// Queries refused at issue time because max_inflight_queries was reached
-  /// (open-loop saturation guard; 0 in closed bench scenarios and whenever
-  /// the bound is disabled).
-  std::size_t queries_overflowed = 0;
-
   // Fault-injection accounting (all zero without a fault timeline).
   /// Query flows moved onto an alternate surviving path mid-run.
   std::size_t flows_rerouted = 0;

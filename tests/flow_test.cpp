@@ -51,9 +51,29 @@ TEST(FlowGen, BackgroundFlowsRespectConfig) {
 
 TEST(FlowGen, QueryFlowsFormPartitionAggregatePattern) {
   FlowSet flows;
-  add_query_flows(flows, /*aggregator=*/3, /*num_hosts=*/16, 5.0, 20.0);
-  // 15 ISNs, a request and a reply each.
-  EXPECT_EQ(flows.size(), 30u);
+  flows.add(0, 1, 100.0, FlowClass::LatencyTolerant);  // background first
+  const QueryFlows ids =
+      add_query_flows(flows, /*aggregator=*/3, /*num_hosts=*/16, 5.0, 20.0);
+  // Per host in order, a request then a reply, after the background flow;
+  // the aggregator's slots stay empty.
+  ASSERT_EQ(ids.request.size(), 16u);
+  ASSERT_EQ(ids.reply.size(), 16u);
+  EXPECT_EQ(ids.request[3], kInvalidFlow);
+  EXPECT_EQ(ids.reply[3], kInvalidFlow);
+  EXPECT_EQ(ids.request[0], 1);
+  EXPECT_EQ(ids.reply[0], 2);
+  EXPECT_EQ(ids.request[4], 7);
+  for (int h = 0; h < 16; ++h) {
+    if (h == 3) continue;
+    const Flow& request = flows[static_cast<std::size_t>(ids.request[h])];
+    const Flow& reply = flows[static_cast<std::size_t>(ids.reply[h])];
+    EXPECT_EQ(request.src_host, 3);
+    EXPECT_EQ(request.dst_host, h);
+    EXPECT_EQ(reply.src_host, h);
+    EXPECT_EQ(reply.dst_host, 3);
+  }
+  // 15 ISNs, a request and a reply each, after the background flow.
+  EXPECT_EQ(flows.size(), 31u);
   EXPECT_EQ(flows.count(FlowClass::LatencySensitive), 30u);
   int requests = 0, replies = 0;
   for (const Flow& f : flows.flows()) {

@@ -7,8 +7,12 @@
 //     shedding behavior, deadline late-shed;
 //   * serving harness: end-to-end run through EpochController re-planning,
 //     per-window conservation, policy swap changing outcomes on identical
-//     arrivals, and thread-count byte-equality of the serving JSONL log;
-//   * golden ServingWindowRecord serialization.
+//     arrivals, thread-count byte-equality of the serving JSONL log, and
+//     the DES aggregator following the planner's;
+//   * golden ServingWindowRecord serialization;
+//   * DES golden digests: both drivers of the partition-aggregate core
+//     (moderate and overload serving, healthy and faulted cluster,
+//     TimeTrader feedback) pinned bit for bit.
 #include <cmath>
 #include <sstream>
 
@@ -175,10 +179,8 @@ TEST(Policies, FactoriesRoundTripAndRejectUnknown) {
     auto policy = make_shed_policy(name);
     EXPECT_STREQ(policy->name(), name);
   }
-  EXPECT_STREQ(make_routing_hint("static")->name(), "static");
   EXPECT_THROW(make_admission_policy("nope"), std::invalid_argument);
   EXPECT_THROW(make_shed_policy("nope"), std::invalid_argument);
-  EXPECT_THROW(make_routing_hint("nope"), std::invalid_argument);
 }
 
 TEST(Policies, TokenBucketShedsAboveRate) {
@@ -339,12 +341,8 @@ TEST(ServingHarness, OpenLoopRunCompletesThroughReplanning) {
             6.0 * std::sqrt(expected));
 }
 
-TEST(ServingHarness, WindowConservationExact) {
-  const Scenario scn = serve_scenario();
-  ServingHarnessConfig config = harness_config(scn);
-  ServingHarness harness(&scn.topology(), &scn.service_model(),
-                         &scn.power_model(), config);
-  const ServingReport report = harness.run();
+/// Every window conserves arrivals exactly, and the windows sum to the run.
+void expect_windows_conserved(const ServingReport& report) {
   long long arrivals = 0, admitted = 0, shed = 0, dropped = 0;
   for (const auto& window : report.windows) {
     EXPECT_EQ(window.arrivals, window.admitted + window.shed + window.dropped)
@@ -360,6 +358,14 @@ TEST(ServingHarness, WindowConservationExact) {
   EXPECT_EQ(admitted, report.admitted);
   EXPECT_EQ(shed, report.shed);
   EXPECT_EQ(dropped, report.dropped);
+}
+
+TEST(ServingHarness, WindowConservationExact) {
+  const Scenario scn = serve_scenario();
+  ServingHarnessConfig config = harness_config(scn);
+  ServingHarness harness(&scn.topology(), &scn.service_model(),
+                         &scn.power_model(), config);
+  expect_windows_conserved(harness.run());
 }
 
 TEST(ServingHarness, PolicySwapChangesOutcomesOnIdenticalArrivals) {
@@ -481,35 +487,22 @@ TEST(ServingHarness, TemporalScheduleSmoke) {
   EXPECT_EQ(report.arrivals, base.arrivals);
 }
 
-TEST(SearchClusterBound, OverflowCounterUnderOpenLoopOverload) {
-  // Satellite regression: with a bounded pending-query map, overload shows
-  // up as queries_overflowed instead of unbounded memory growth.
+TEST(ServingHarness, DesAggregatorIsThePlannersAggregator) {
+  // The planner routes query flows to and from its own aggregator host;
+  // the DES fans out from the same host, so moving it off host 0 is one
+  // setting, and the run conserves every window exactly.
   const Scenario scn = serve_scenario();
-  Rng bg_rng(7);
-  const FlowSet background =
-      make_background_flows(scn.flow_gen(), 4, 0.1, 0.1, bg_rng);
-
-  ScenarioConfig bounded;
-  bounded.cluster.policy = "max";
-  bounded.cluster.target_utilization = 3.0;  // far beyond capacity
-  bounded.cluster.warmup = sec(0.2);
-  bounded.cluster.duration = sec(1.0);
-  bounded.cluster.max_inflight_queries = 64;
-  const ScenarioResult r1 = scn.run(background, bounded);
-  EXPECT_GT(r1.metrics.queries_overflowed, 0u);
-
-  // Default (unbounded) keeps the legacy behavior: no overflows.
-  ScenarioConfig unbounded = bounded;
-  unbounded.cluster.max_inflight_queries = 0;
-  const ScenarioResult r2 = scn.run(background, unbounded);
-  EXPECT_EQ(r2.metrics.queries_overflowed, 0u);
-
-  // At sane utilization the bound is never hit and metrics are unaffected.
-  ScenarioConfig sane = bounded;
-  sane.cluster.target_utilization = 0.3;
-  const ScenarioResult r3 = scn.run(background, sane);
-  EXPECT_EQ(r3.metrics.queries_overflowed, 0u);
-  EXPECT_GT(r3.metrics.queries_completed, 0u);
+  ServingHarnessConfig config = harness_config(scn);
+  config.arrivals.horizon = sec(80.0);
+  config.epoch.transition.epoch_length = sec(40.0);
+  config.epoch.joint.aggregator_host = 3;
+  config.flow_gen = scn.flow_gen(3);
+  ServingHarness harness(&scn.topology(), &scn.service_model(),
+                         &scn.power_model(), config);
+  const ServingReport report = harness.run();
+  EXPECT_EQ(report.epochs, 2);
+  EXPECT_GT(report.completed, 0);
+  expect_windows_conserved(report);
 }
 
 // ---- DES golden digest ----
@@ -546,6 +539,18 @@ void mix_cluster(BitDigest* digest, const ClusterMetrics& m) {
   digest->mix(m.outage_sla_misses);
 }
 
+std::uint64_t serving_digest(const ServingReport& report) {
+  BitDigest digest;
+  for (const auto& window : report.windows) {
+    digest.mix_string(obs::to_jsonl(window));
+  }
+  mix_latency(&digest, report.latency);
+  digest.mix_double(report.total_energy_j);
+  digest.mix(static_cast<std::uint64_t>(report.subqueries_completed));
+  digest.mix(static_cast<std::uint64_t>(report.sla_misses));
+  return digest.value();
+}
+
 TEST(DesGolden, ServingHarnessWindowsMatchReferenceBits) {
   const Scenario scn = serve_scenario();
   ServingHarnessConfig config = harness_config(scn, 120.0);
@@ -557,15 +562,53 @@ TEST(DesGolden, ServingHarnessWindowsMatchReferenceBits) {
                          &scn.power_model(), config);
   const ServingReport report = harness.run();
   ASSERT_EQ(report.epochs, 3);
-  BitDigest digest;
-  for (const auto& window : report.windows) {
-    digest.mix_string(obs::to_jsonl(window));
+  EXPECT_EQ(serving_digest(report), 0xd289b54b5cf840ddull);
+}
+
+TEST(DesGolden, ServingOverloadMatchesReferenceBits) {
+  // 20x the 40 qps base peak against 16 queries in flight: the dispatch
+  // queue, door drops, both shed points and the re-plan penalty all fire,
+  // none of which the moderate-load run above reaches.
+  const Scenario scn = serve_scenario();
+  ServingHarnessConfig base = harness_config(scn, 20.0 * 40.0);
+  base.arrivals.horizon = sec(60.0);
+  base.epoch.transition.epoch_length = sec(20.0);
+  base.report_window = sec(20.0);
+  base.max_inflight = 16;
+  base.queue_limit = 32;
+  base.reconfig_penalty = ms(50.0);
+  base.policy.bucket_rate_qps = 250.0;
+  struct Run {
+    const char* admission;
+    const char* shed;
+    std::uint64_t digest;
+  };
+  const Run runs[] = {
+      {"always", "deadline", 0xc3171787ad94a7f3ull},
+      {"always", "never", 0xfd93038a639dbaa2ull},
+      {"token-bucket", "never", 0xafa0c532cf523394ull},
+  };
+  long long queued = 0, shed = 0, dropped = 0, late_shed = 0, penalized = 0;
+  for (const Run& run : runs) {
+    ServingHarnessConfig config = base;
+    config.admission = run.admission;
+    config.shed = run.shed;
+    ServingHarness harness(&scn.topology(), &scn.service_model(),
+                           &scn.power_model(), config);
+    const ServingReport report = harness.run();
+    EXPECT_EQ(serving_digest(report), run.digest)
+        << run.admission << "/" << run.shed;
+    queued += report.queued;
+    shed += report.shed;
+    dropped += report.dropped;
+    late_shed += report.late_shed;
+    penalized += report.transition_penalized;
   }
-  mix_latency(&digest, report.latency);
-  digest.mix_double(report.total_energy_j);
-  digest.mix(static_cast<std::uint64_t>(report.subqueries_completed));
-  digest.mix(static_cast<std::uint64_t>(report.sla_misses));
-  EXPECT_EQ(digest.value(), 0xd289b54b5cf840ddull);
+  EXPECT_GT(queued, 0);
+  EXPECT_GT(shed, 0);
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(late_shed, 0);
+  EXPECT_GT(penalized, 0);
 }
 
 TEST(DesGolden, SearchClusterMetricsMatchReferenceBits) {
@@ -602,6 +645,31 @@ TEST(DesGolden, SearchClusterMetricsMatchReferenceBits) {
   EXPECT_GT(faulted.metrics.subqueries_dropped, 0u);
   mix_cluster(&digest, faulted.metrics);
   EXPECT_EQ(digest.value(), 0x5b03b614d609b5aeull);
+}
+
+TEST(DesGolden, SearchClusterTimeTraderFeedbackMatchesReferenceBits) {
+  // TimeTrader re-tunes each core every 5 modeled seconds from the
+  // sub-query latencies the cluster reports back, and turns conservative
+  // when the ECN monitor flags the network tail against the network
+  // budget. Two runs past two adjustment periods: the default budgets,
+  // and a 0.2 ms network budget the monitor reports as congested.
+  const Scenario scn = serve_scenario();
+  Rng bg_rng(3);
+  const FlowSet background =
+      make_background_flows(scn.flow_gen(), 6, 0.1, 0.1, bg_rng);
+  ScenarioConfig config;
+  config.cluster.policy = "timetrader";
+  config.cluster.target_utilization = 0.3;
+  config.cluster.warmup = sec(0.5);
+  config.cluster.feedback_warmup = sec(1.0);
+  config.cluster.duration = sec(10.0);
+  config.cluster.seed = 42;
+  BitDigest digest;
+  mix_cluster(&digest, scn.run(background, config).metrics);
+  config.cluster.latency_constraint = ms(10.0);
+  config.cluster.server_budget = ms(9.8);
+  mix_cluster(&digest, scn.run(background, config).metrics);
+  EXPECT_EQ(digest.value(), 0x6276d78fb24e9c6cull);
 }
 
 }  // namespace

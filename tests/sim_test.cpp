@@ -2,6 +2,7 @@
 // and end-to-end cluster integration properties.
 #include <gtest/gtest.h>
 
+#include "dvfs/policies.h"
 #include "dvfs/synthetic_workload.h"
 #include "sim/event_queue.h"
 #include "sim/search_cluster.h"

@@ -123,6 +123,16 @@ struct Packer {
     return true;
   }
 
+  /// True once `best_score` can no longer be beaten, so the candidate
+  /// scan may stop. A MinimizeSwitches score counts newly lit switches:
+  /// never below 0, and a later path wins only by scoring strictly lower,
+  /// so the first fitting path that lights nothing new is the winner of
+  /// the full scan. BalanceLoad scores have no floor and scan everything.
+  bool zero_cost_wins(double best_score) const {
+    return options.objective == PlacementObjective::MinimizeSwitches &&
+           best_score == 0.0;
+  }
+
   /// Flow indices in first-fit-decreasing order of scaled demand.
   std::vector<std::size_t> ffd_order() const {
     std::vector<std::size_t> order(flows.size());
@@ -238,6 +248,7 @@ struct Packer {
       if (score < best_score - 1e-12) {
         best_score = score;
         best = p;
+        if (zero_cost_wins(score)) break;
       }
     }
 
@@ -335,6 +346,7 @@ struct Packer {
       if (score < best_score - 1e-12) {
         best_score = score;
         best = p;
+        if (zero_cost_wins(score)) break;
       }
     }
 

@@ -10,6 +10,9 @@
 //
 // Flows are packed largest-scaled-demand first (classic first-fit
 // decreasing), so elephants claim the left spine and mice fill gaps.
+// Under MinimizeSwitches a placement stops scanning candidates at the
+// first fitting path that lights no new switch: no path can score lower,
+// and ties go left, so that path wins the full scan too.
 #pragma once
 
 #include <atomic>

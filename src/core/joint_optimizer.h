@@ -15,11 +15,13 @@
 //     on an internal ThreadPool;
 //   * the cold sweep's three traced hot spots each have a fast
 //     implementation — batched prepared-path Monte-Carlo with per-shard
-//     scratch (SlackEstimator), per-frequency CCDF lookup tables built
-//     once at construction (dvfs/vp_table.h), and memoized per-pair path
-//     enumeration shared across the K candidates (topo/path_catalog.h) —
-//     plus placement deduplication: K candidates that consolidate to the
-//     same routing share one slack estimate.
+//     scratch, a vectorized hop-major combine and a parallel merge
+//     (SlackEstimator), per-frequency CCDF lookup tables built once at
+//     construction (dvfs/vp_table.h), and memoized per-pair path
+//     enumeration shared across the K candidates (topo/path_catalog.h)
+//     feeding a greedy packer that stops scanning at the first path that
+//     lights no new switch — plus placement deduplication: K candidates
+//     that consolidate to the same routing share one slack estimate.
 // Every fast path reproduces the reference arithmetic and RNG stream bit
 // for bit, so the chosen plan is byte-identical for any thread count and
 // any PlanRequest knob combination (asserted by tests/fastpath_test.cpp).
@@ -159,8 +161,8 @@ struct PlanRequest {
   /// disabled — runs the cold K sweep. Not owned.
   const JointPlan* previous = nullptr;
   /// Per-sample Monte-Carlo path walks instead of the batched
-  /// prepared-path sampler, and a per-candidate slack estimate instead of
-  /// the sweep's placement-deduplicated batch.
+  /// prepared-path, hop-major sampler, and a per-candidate slack estimate
+  /// instead of the sweep's placement-deduplicated batch.
   bool use_reference_slack = false;
   /// Per-decision equivalent-work convolution lookups instead of the
   /// precomputed per-frequency CCDF tables.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -22,7 +23,7 @@ constexpr std::size_t kIterChunk = 32;
 // Mean over the buffer's insertion order (shard order, draw order within a
 // shard). Runs BEFORE any quantile call below permutes the buffer, so the
 // floating-point summation order is pinned.
-double insertion_order_mean(const std::vector<double>& v) {
+double insertion_order_mean(std::span<const double> v) {
   double sum = 0.0;
   for (double x : v) sum += x;
   return sum / static_cast<double>(v.size());
@@ -41,7 +42,7 @@ std::size_t nearest_rank(std::size_t n, double p) {
   return rank;
 }
 
-double nearest_rank_quantile(std::vector<double>& v, double p) {
+double nearest_rank_quantile(std::span<double> v, double p) {
   const std::size_t rank = nearest_rank(v.size(), p);
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(rank - 1),
                    v.end());
@@ -53,7 +54,7 @@ double nearest_rank_quantile(std::vector<double>& v, double p) {
 // value, so the p99 rank — which ranks at or beyond it — can be selected
 // inside that small tail instead of re-partitioning the whole buffer. The
 // selected values equal a full sort's exactly.
-void tail_quantiles(std::vector<double>& v, double* p95, double* p99) {
+void tail_quantiles(std::span<double> v, double* p95, double* p99) {
   const std::size_t r95 = nearest_rank(v.size(), 0.95);
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(r95 - 1),
                    v.end());
@@ -144,9 +145,10 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
       config_.samples_per_pair < 0
           ? 0
           : static_cast<std::size_t>(config_.samples_per_pair);
+  // The shards write every slot, so the buffers skip value-initialization.
   struct QueryBuffers {
-    std::vector<double> request;
-    std::vector<double> total;
+    std::unique_ptr<double[]> request;
+    std::unique_ptr<double[]> total;
     std::vector<std::size_t> shard_offset;  // shards + 1 entries
   };
   std::vector<QueryBuffers> buffers(queries.size());
@@ -162,8 +164,8 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
       offset += owned * samples_per_pair;
     }
     buf.shard_offset[shards] = offset;
-    buf.request.resize(offset);
-    buf.total.resize(offset);
+    buf.request = std::make_unique_for_overwrite<double[]>(offset);
+    buf.total = std::make_unique_for_overwrite<double[]>(offset);
   }
 
   parallel_for(pool, queries.size() * shards, [&](std::size_t task) {
@@ -177,8 +179,8 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
     const PathLatencyEstimator estimator(queries[q].offered_load,
                                          config_.link_model);
     const LinkLatencyModel& model = estimator.model();
-    double* req_out = buffers[q].request.data() + buffers[q].shard_offset[s];
-    double* tot_out = buffers[q].total.data() + buffers[q].shard_offset[s];
+    double* req_out = buffers[q].request.get() + buffers[q].shard_offset[s];
+    double* tot_out = buffers[q].total.get() + buffers[q].shard_offset[s];
     // Per-shard scratch, reused across pairs and blocks. The fast path
     // prepares each pair's hop constants once; the reference path
     // re-derives them from the live utilization tables on every
@@ -187,90 +189,105 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
     std::vector<PreparedHop> reply_hops;
     std::vector<double> log_e;
     std::vector<double> log_o;
+    std::vector<double> burst_u;
+    std::vector<double> collision_u;
+    SimTime req_e[kIterChunk];
+    SimTime req_o[kIterChunk];
+    SimTime rep_e[kIterChunk];
+    SimTime rep_o[kIterChunk];
     // Samples come in antithetic pairs: iteration `it` yields samples 2it
     // (even partner) and 2it+1 (odd partner; an odd samples_per_pair
     // draws the final full pair — fixed RNG consumption — and discards
-    // the odd half). Iterations proceed in blocks of kIterChunk: phase 1
-    // pre-draws the block's exponential uniforms in (iteration, hop)
-    // order — request hops then reply hops — phase 2 batch-evaluates
-    // their logs (vectorized fast_log_block on the fast path, scalar
-    // fast_log on the reference path: bit-identical), and phase 3
-    // combines per hop, drawing the burst/collision uniforms in the same
-    // (iteration, hop) order (see LinkLatencyModel::combine_hop_pair).
+    // the odd half). Iterations proceed in blocks of kIterChunk, and a
+    // block consumes the RNG in one fixed order: first its exponential
+    // uniforms in (iteration, hop) order — request hops then reply hops —
+    // then its burst/collision uniforms in the same (iteration, hop)
+    // order, burst before collision within a hop, each only where the
+    // hop has that term. Every per-block array is hop-major (hop h, lane
+    // j at h * block + j), so each hop's lanes are contiguous.
     const std::size_t iters_total = (samples_per_pair + 1) / 2;
     for (std::size_t i = s; i < pairs.size(); i += shards) {
       const auto& [req, rep] = pairs[i];
       const std::size_t request_len = req->size() - 1;
       const std::size_t reply_len = rep->size() - 1;
       const std::size_t hops = request_len + reply_len;
+      const auto hop_at = [&](std::size_t h) -> const PreparedHop& {
+        return h < request_len ? request_hops[h] : reply_hops[h - request_len];
+      };
       if (!reference_sampling) {
         estimator.prepare(*req, &request_hops);
         estimator.prepare(*rep, &reply_hops);
       }
       for (std::size_t it0 = 0; it0 < iters_total; it0 += kIterChunk) {
-        const std::size_t block =
-            std::min(kIterChunk, iters_total - it0);
+        const std::size_t block = std::min(kIterChunk, iters_total - it0);
         const std::size_t n = block * hops;
+        // log_e holds the raw uniforms until the block log pass below
+        // overwrites them in place.
         log_e.resize(n);
-        for (std::size_t j = 0; j < n; ++j) {
-          double u = rng.uniform();
-          while (u == 0.0) u = rng.uniform();
-          // u in (0,1), 1-u in (0,1]; log(1) == 0 is a valid Exp draw.
-          log_e[j] = u;
+        for (std::size_t j = 0; j < block; ++j) {
+          for (std::size_t h = 0; h < hops; ++h) {
+            double u = rng.uniform();
+            while (u == 0.0) u = rng.uniform();
+            // u in (0,1), 1-u in (0,1]; log(1) == 0 is a valid Exp draw.
+            log_e[h * block + j] = u;
+          }
         }
-        if (!reference_sampling) {
+        if (reference_sampling) {
+          // The per-sample oracle: re-derive the hop constants, take
+          // scalar logs, and draw each hop's burst/collision uniforms as
+          // its pair is combined — the same RNG order, sample by sample.
+          for (std::size_t j = 0; j < block; ++j) {
+            estimator.prepare(*req, &request_hops);
+            estimator.prepare(*rep, &reply_hops);
+            req_e[j] = req_o[j] = rep_e[j] = rep_o[j] = 0.0;
+            SimTime hop_e;
+            SimTime hop_o;
+            for (std::size_t h = 0; h < hops; ++h) {
+              const double u = log_e[h * block + j];
+              model.combine_hop_pair(hop_at(h), fast_log(u),
+                                     fast_log(1.0 - u), rng, &hop_e, &hop_o);
+              const bool request = h < request_len;
+              (request ? req_e : rep_e)[j] += hop_e;
+              (request ? req_o : rep_o)[j] += hop_o;
+            }
+          }
+        } else {
+          // Pre-draw the burst/collision uniforms, then take every log of
+          // the block in one vectorized pass.
+          burst_u.resize(n);
+          collision_u.resize(n);
+          for (std::size_t j = 0; j < block; ++j) {
+            for (std::size_t h = 0; h < hops; ++h) {
+              const PreparedHop& hop = hop_at(h);
+              if (hop.p_burst > 0.0) burst_u[h * block + j] = rng.uniform();
+              if (hop.bursty > 0.0) collision_u[h * block + j] = rng.uniform();
+            }
+          }
           log_o.resize(n);
           fast_log_block_antithetic(log_e.data(), log_e.data(), log_o.data(),
                                     n);
+          // Combine hop by hop across the block's lanes; each lane adds
+          // its hops in path order, as the per-sample sampler does.
+          std::fill_n(req_e, block, 0.0);
+          std::fill_n(req_o, block, 0.0);
+          std::fill_n(rep_e, block, 0.0);
+          std::fill_n(rep_o, block, 0.0);
+          for (std::size_t h = 0; h < hops; ++h) {
+            const bool request = h < request_len;
+            const std::size_t at = h * block;
+            model.combine_hop_block(hop_at(h), log_e.data() + at,
+                                    log_o.data() + at, burst_u.data() + at,
+                                    collision_u.data() + at, block,
+                                    request ? req_e : rep_e,
+                                    request ? req_o : rep_o);
+          }
         }
         for (std::size_t j = 0; j < block; ++j) {
-          if (reference_sampling) {
-            estimator.prepare(*req, &request_hops);
-            estimator.prepare(*rep, &reply_hops);
-          }
-          const double* le = log_e.data() + j * hops;
-          const double* lo =
-              reference_sampling ? nullptr : log_o.data() + j * hops;
-          SimTime req_e = 0.0;
-          SimTime req_o = 0.0;
-          SimTime rep_e = 0.0;
-          SimTime rep_o = 0.0;
-          SimTime hop_e;
-          SimTime hop_o;
-          for (std::size_t h = 0; h < request_len; ++h) {
-            double a = le[h];
-            double b;
-            if (reference_sampling) {
-              // le still holds the raw uniform; take the scalar logs (the
-              // exact 1.0 - u the fused block pass computes).
-              b = fast_log(1.0 - a);
-              a = fast_log(a);
-            } else {
-              b = lo[h];
-            }
-            model.combine_hop_pair(request_hops[h], a, b, rng, &hop_e,
-                                   &hop_o);
-            req_e += hop_e;
-            req_o += hop_o;
-          }
-          for (std::size_t h = 0; h < reply_len; ++h) {
-            double a = le[request_len + h];
-            double b;
-            if (reference_sampling) {
-              b = fast_log(1.0 - a);
-              a = fast_log(a);
-            } else {
-              b = lo[request_len + h];
-            }
-            model.combine_hop_pair(reply_hops[h], a, b, rng, &hop_e, &hop_o);
-            rep_e += hop_e;
-            rep_o += hop_o;
-          }
-          *req_out++ = req_e;
-          *tot_out++ = req_e + rep_e;
+          *req_out++ = req_e[j];
+          *tot_out++ = req_e[j] + rep_e[j];
           if (2 * (it0 + j) + 1 < samples_per_pair) {
-            *req_out++ = req_o;
-            *tot_out++ = req_o + rep_o;
+            *req_out++ = req_o[j];
+            *tot_out++ = req_o[j] + rep_o[j];
           }
         }
       }
@@ -279,18 +296,26 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
         buffers[q].shard_offset[s + 1] - buffers[q].shard_offset[s]));
   });
 
-  // Merge in shard order — fixed regardless of execution interleaving.
-  // Means run first, over the buffer's insertion order; quantiles then
-  // select via nth_element, which permutes the buffers but never changes
-  // which value sits at a given rank.
-  for (std::size_t q = 0; q < queries.size(); ++q) {
+  // Merge: one task per (query, request|total buffer), each writing only
+  // its own fields. A buffer's order is fixed by the shard slices above,
+  // whichever worker fills or merges it. Its mean runs first, over that
+  // insertion order; its quantiles then select via nth_element, which
+  // permutes the buffer but never changes which value sits at a rank.
+  parallel_for(pool, queries.size() * 2, [&](std::size_t task) {
+    const std::size_t q = task / 2;
     QueryBuffers& buf = buffers[q];
-    if (buf.request.empty()) continue;
-    out[q].request_mean = insertion_order_mean(buf.request);
-    out[q].total_mean = insertion_order_mean(buf.total);
-    out[q].request_p95 = nearest_rank_quantile(buf.request, 0.95);
-    tail_quantiles(buf.total, &out[q].total_p95, &out[q].total_p99);
-  }
+    const std::size_t n = buf.shard_offset[shards];
+    if (n == 0) return;
+    if (task % 2 == 0) {
+      const std::span<double> request(buf.request.get(), n);
+      out[q].request_mean = insertion_order_mean(request);
+      out[q].request_p95 = nearest_rank_quantile(request, 0.95);
+    } else {
+      const std::span<double> total(buf.total.get(), n);
+      out[q].total_mean = insertion_order_mean(total);
+      tail_quantiles(total, &out[q].total_p95, &out[q].total_p99);
+    }
+  });
   return out;
 }
 

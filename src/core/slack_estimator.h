@@ -17,20 +17,29 @@
 // 2it (through u) and 2it+1 (through 1-u), halving RNG consumption while
 // keeping every sample's marginal distribution exact, and the burst draws
 // ride on their branch uniform via the composition trick (see
-// LinkLatencyModel::combine_hop_pair). Iterations proceed in fixed blocks:
-// each block pre-draws its exponential uniforms in (iteration, hop) order,
-// batch-evaluates their logs, then combines per hop — drawing the burst
-// and collision uniforms in the same (iteration, hop) order — so the whole
-// scheme, block size included, is part of the result definition.
+// LinkLatencyModel::combine_hop_pair). Iterations proceed in fixed blocks,
+// and a block consumes the RNG in one fixed order: its exponential
+// uniforms in (iteration, hop) order, then its burst and collision
+// uniforms in the same (iteration, hop) order — so the whole scheme, block
+// size included, is part of the result definition.
 //
-// Two samplers share that skeleton. The default (fast) path prepares each
-// pair's per-hop constants once (net/path_latency.h PreparedHop) and runs
-// the logs through the vectorized stats/fast_log block; the reference
-// sampler re-derives the constants — two directed-utilization lookups per
-// hop — on every iteration and takes scalar logs. Both consume the same
-// RNG stream and produce the same bits (SIMD lanes run the identical IEEE
-// op sequence); `reference_sampling` exists for differential tests and for
-// bisecting a determinism regression (docs/DETERMINISM.md).
+// Two samplers share that order. The default (fast) path prepares each
+// pair's per-hop constants once (net/path_latency.h PreparedHop),
+// pre-draws the block's burst/collision uniforms, takes every log through
+// the vectorized stats/fast_log block, and combines hop by hop across the
+// block's iterations with the vectorized LinkLatencyModel::combine_hop_block
+// — each sample still sums its hops in path order. The reference sampler
+// is the per-sample oracle: it re-derives the constants — two
+// directed-utilization lookups per hop — on every iteration, takes scalar
+// logs and draws each hop's burst/collision uniforms as it combines it
+// through combine_hop_pair, the one-wide case of the same kernel. Both
+// produce the same bits (SIMD lanes run the identical IEEE op sequence);
+// `reference_sampling` exists for differential tests and for bisecting a
+// determinism regression (docs/DETERMINISM.md).
+//
+// The merge runs one task per (query, request|total buffer) on the same
+// pool: each buffer's mean sums its fixed insertion order before its own
+// nth_element selections reorder it, so the merge is parallel and exact.
 #pragma once
 
 #include <vector>
@@ -92,11 +101,12 @@ class SlackEstimator {
   SlackEstimate estimate(const Query& query, ThreadPool* pool = nullptr,
                          bool reference_sampling = false) const;
 
-  /// Batch entry point: estimates every query, parallelizing over
-  /// (query, shard) units, so a K sweep with deduplicated placements keeps
-  /// every worker busy even when only one unique placement remains. Each
-  /// query is seeded exactly as a standalone estimate() — result i is
-  /// bit-identical to estimate(queries[i]).
+  /// Batch entry point: estimates every query, parallelizing the sampling
+  /// over (query, shard) units — so a K sweep with deduplicated placements
+  /// keeps every worker busy even when only one unique placement remains —
+  /// and the merge over (query, buffer) units. Each query is seeded exactly
+  /// as a standalone estimate() — result i is bit-identical to
+  /// estimate(queries[i]).
   std::vector<SlackEstimate> estimate_many(const std::vector<Query>& queries,
                                            ThreadPool* pool = nullptr,
                                            bool reference_sampling =

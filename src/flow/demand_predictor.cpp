@@ -6,9 +6,10 @@ DemandPredictor::DemandPredictor(DemandPredictorConfig config)
     : config_(config) {}
 
 void DemandPredictor::add_sample(FlowId flow, Bandwidth rate) {
-  auto [it, inserted] =
-      windows_.try_emplace(flow, WindowedPercentile(config_.window));
-  it->second.add(rate);
+  // Constructs the window in place, and only for a new flow: passing a
+  // WindowedPercentile temporary would build (and free) a deque on every
+  // sample.
+  windows_.try_emplace(flow, config_.window).first->second.add(rate);
 }
 
 Bandwidth DemandPredictor::predict(FlowId flow) const {

@@ -13,9 +13,16 @@
 // Per-packet samples are exponential with mean W(rho) (M/M/1 sojourn is
 // exponential), truncated at the buffer cap — giving realistic tails for
 // the 95th/99th percentile figures.
+//
+// The per-hop sampling arithmetic has one definition,
+// LinkLatencyModel::combine_hop_block: a branch-free lane loop that the
+// slack estimator runs hop by hop over a block of pre-drawn uniforms
+// (vectorized there), and that the per-sample samplers run one lane wide
+// through combine_hop_pair.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 
 #include "stats/fast_log.h"
 #include "util/rng.h"
@@ -115,8 +122,10 @@ class LinkLatencyModel {
     return latency;
   }
 
-  /// Draws one ANTITHETIC PAIR of per-hop latencies — the slack
-  /// estimator's innermost statement. Classic Monte-Carlo variance
+  /// Draws one ANTITHETIC PAIR of per-hop latencies — the step of the
+  /// per-sample pair samplers (the slack estimator's fast path runs the
+  /// same arithmetic a block at a time; see combine_hop_block). Classic
+  /// Monte-Carlo variance
   /// reduction: each raw uniform u drives two samples, one through u and
   /// one through 1-u, so a draw pair costs one RNG advance + two log
   /// evaluations instead of two of each; the negative correlation between
@@ -127,10 +136,11 @@ class LinkLatencyModel {
   /// exactly the per-draw model's (base + min(Exp + burst, cap) +
   /// collision residual); only the pairing is correlated.
   ///
-  /// Bit-exactness contract: the reference (per-sample re-derivation) and
-  /// fast (prepared) path samplers both funnel into this one function, so
-  /// they agree bit for bit by construction. fast_log (not std::log) keeps
-  /// the transform's bits owned by this repo, not the host libm.
+  /// Bit-exactness contract: the path-level pair samplers (per-sample
+  /// re-derivation and prepared hops) both funnel into this one function,
+  /// and through combine_hop_pair into the block kernel, so they agree bit
+  /// for bit by construction. fast_log (not std::log) keeps the
+  /// transform's bits owned by this repo, not the host libm.
   void sample_hop_pair(const PreparedHop& hop, Rng& rng, SimTime* even,
                        SimTime* odd) const {
     double u = rng.uniform();
@@ -145,40 +155,49 @@ class LinkLatencyModel {
   /// The pair core AFTER the exponential logs: turns (log u, log(1-u))
   /// into the antithetic latency pair, drawing the hop's burst and
   /// collision uniforms from `rng` in the fixed order (burst, collision).
-  /// Split out so the slack estimator can batch the log evaluations
-  /// through fast_log_block and still combine through the exact operation
-  /// sequence sample_hop_pair uses — the shared core that makes the fast
-  /// and reference samplers bit-identical.
+  /// It is the one-wide case of combine_hop_block, so the per-sample
+  /// samplers and the slack estimator's block sampler share one
+  /// definition of the per-hop arithmetic and agree bit for bit.
   void combine_hop_pair(const PreparedHop& hop, double log_e, double log_o,
                         Rng& rng, SimTime* even, SimTime* odd) const {
-    SimTime queue_e = hop.sojourn_mean * -log_e;
-    SimTime queue_o = hop.sojourn_mean * -log_o;
+    const double burst_u = hop.p_burst > 0.0 ? rng.uniform() : 0.0;
+    const double collision_u = hop.bursty > 0.0 ? rng.uniform() : 0.0;
+    SimTime sum_e = 0.0;
+    SimTime sum_o = 0.0;
+    combine_hop_block(hop, &log_e, &log_o, &burst_u, &collision_u, 1, &sum_e,
+                      &sum_o);
+    *even = sum_e;
+    *odd = sum_o;
+  }
+
+  /// combine_hop_pair over `lanes` independent draws of one hop, adding
+  /// each lane's antithetic pair to its running path sums sum_e[j] and
+  /// sum_o[j] (callers start the sums at 0.0 and add hops in path order,
+  /// so every sample's sum is the per-sample samplers' sum). Lane j reads
+  /// log_e[j], log_o[j] and, when the hop has the term, the burst uniform
+  /// burst_u[j] (p_burst > 0) and the collision uniform collision_u[j]
+  /// (bursty > 0); the other array may be unset. The data-dependent
+  /// branches are selects between two computed values, so the lane loop
+  /// vectorizes and every lane runs the scalar op sequence.
+  void combine_hop_block(const PreparedHop& hop, const double* log_e,
+                         const double* log_o, const double* burst_u,
+                         const double* collision_u, std::size_t lanes,
+                         SimTime* sum_e, SimTime* sum_o) const {
     if (hop.p_burst > 0.0) {
-      const double b = rng.uniform();
-      if (b < hop.p_burst) {
-        // Landed behind a standing burst of background packets.
-        queue_e += (b / hop.p_burst) * hop.burst_window;
+      if (hop.bursty > 0.0) {
+        combine_lanes<true, true>(hop, log_e, log_o, burst_u, collision_u,
+                                  lanes, sum_e, sum_o);
+      } else {
+        combine_lanes<true, false>(hop, log_e, log_o, burst_u, collision_u,
+                                   lanes, sum_e, sum_o);
       }
-      const double bo = 1.0 - b;
-      if (bo < hop.p_burst) {
-        queue_o += (bo / hop.p_burst) * hop.burst_window;
-      }
+    } else if (hop.bursty > 0.0) {
+      combine_lanes<false, true>(hop, log_e, log_o, burst_u, collision_u,
+                                 lanes, sum_e, sum_o);
+    } else {
+      combine_lanes<false, false>(hop, log_e, log_o, burst_u, collision_u,
+                                  lanes, sum_e, sum_o);
     }
-    SimTime lat_e = config_.base_latency_us + std::min(queue_e, hop.cap);
-    SimTime lat_o = config_.base_latency_us + std::min(queue_o, hop.cap);
-    if (hop.bursty > 0.0) {
-      const double t = rng.uniform();
-      if (t < hop.bursty) {
-        // Collided with an elephant train: wait out its residual.
-        lat_e += (t / hop.bursty) * config_.burst_len_us;
-      }
-      const double to = 1.0 - t;
-      if (to < hop.bursty) {
-        lat_o += (to / hop.bursty) * config_.burst_len_us;
-      }
-    }
-    *even = lat_e;
-    *odd = lat_o;
   }
 
   /// Mean including the burst-collision expectation (for planning).
@@ -192,6 +211,48 @@ class LinkLatencyModel {
   SimTime sojourn_mean(double utilization) const;
   /// Burst mixture intensity t in [0,1]; 0 below the knee.
   double burst_intensity(double utilization) const;
+
+  /// combine_hop_block's lane loop for one (burst, collision) term shape.
+  template <bool kBurst, bool kCollision>
+  void combine_lanes(const PreparedHop& hop, const double* log_e,
+                     const double* log_o, const double* burst_u,
+                     const double* collision_u, std::size_t lanes,
+                     SimTime* sum_e, SimTime* sum_o) const {
+    const double base = config_.base_latency_us;
+    const double burst_len = config_.burst_len_us;
+    const double sojourn = hop.sojourn_mean;
+    const double cap = hop.cap;
+    const double p_burst = hop.p_burst;
+    const double window = hop.burst_window;
+    const double bursty = hop.bursty;
+    for (std::size_t j = 0; j < lanes; ++j) {
+      SimTime queue_e = sojourn * -log_e[j];
+      SimTime queue_o = sojourn * -log_o[j];
+      if constexpr (kBurst) {
+        // Landed behind a standing burst of background packets: u < p
+        // for the even partner, 1-u < p for the odd one.
+        const double b = burst_u[j];
+        const double bo = 1.0 - b;
+        const SimTime burst_e = queue_e + (b / p_burst) * window;
+        const SimTime burst_o = queue_o + (bo / p_burst) * window;
+        queue_e = b < p_burst ? burst_e : queue_e;
+        queue_o = bo < p_burst ? burst_o : queue_o;
+      }
+      SimTime lat_e = base + std::min(queue_e, cap);
+      SimTime lat_o = base + std::min(queue_o, cap);
+      if constexpr (kCollision) {
+        // Collided with an elephant train: wait out its residual.
+        const double t = collision_u[j];
+        const double to = 1.0 - t;
+        const SimTime hit_e = lat_e + (t / bursty) * burst_len;
+        const SimTime hit_o = lat_o + (to / bursty) * burst_len;
+        lat_e = t < bursty ? hit_e : lat_e;
+        lat_o = to < bursty ? hit_o : lat_o;
+      }
+      sum_e[j] += lat_e;
+      sum_o[j] += lat_o;
+    }
+  }
 
   LinkLatencyConfig config_;
 };

@@ -68,12 +68,20 @@ void fast_log_pair(double x, double y, double* lx, double* ly) {
 // multiply/add lanes equal their scalar counterparts exactly, and
 // -ffp-contract=off on this file forbids FMA fusion in every clone), so
 // all clones — and the scalar fast_log — agree bit for bit.
+//
+// ThreadSanitizer builds drop the clones: the ifunc resolver that picks a
+// clone runs at load time, before the TSan runtime is initialized, and
+// the instrumented resolver crashes the process (GCC 12).
+#if !defined(__SANITIZE_THREAD__)
 [[gnu::target_clones("avx2", "default")]]
+#endif
 void fast_log_block(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = log_impl(x[i]);
 }
 
+#if !defined(__SANITIZE_THREAD__)
 [[gnu::target_clones("avx2", "default")]]
+#endif
 void fast_log_block_antithetic(const double* x, double* lg_e, double* lg_o,
                                std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {

@@ -58,14 +58,17 @@ void WindowedPercentile::add(double sample) {
 
 double WindowedPercentile::quantile(double p) const {
   if (window_.empty()) return 0.0;
-  std::vector<double> sorted(window_.begin(), window_.end());
-  std::sort(sorted.begin(), sorted.end());
+  // Nearest rank by selection: nth_element puts the rank-th smallest value
+  // where a full sort would, so the result is the same element.
+  std::vector<double> values(window_.begin(), window_.end());
   p = std::clamp(p, 0.0, 1.0);
   std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(sorted.size())));
+      std::ceil(p * static_cast<double>(values.size())));
   if (rank == 0) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
+  if (rank > values.size()) rank = values.size();
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+  std::nth_element(values.begin(), nth, values.end());
+  return *nth;
 }
 
 void WindowedPercentile::clear() { window_.clear(); }

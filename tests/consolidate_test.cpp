@@ -2,9 +2,16 @@
 // MILP, greedy-vs-MILP agreement, the arc LP lower bound, and edge cases.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "consolidate/arc_lp.h"
 #include "consolidate/greedy_consolidator.h"
+#include "consolidate/hierarchical_consolidator.h"
 #include "consolidate/milp_consolidator.h"
+#include "golden_digest.h"
+#include "topo/aggregation.h"
+#include "topo/path_catalog.h"
 #include "util/rng.h"
 
 namespace eprons {
@@ -356,6 +363,200 @@ TEST(ConsolidationResult, OfferedLoadUsesUnscaledDemand) {
   ASSERT_TRUE(result.feasible);
   const LinkUtilization load = result.offered_load(ft.graph(), flows);
   EXPECT_NEAR(load.max_utilization(), 0.1, 1e-9);
+}
+
+// Packer goldens: placement fingerprints of the greedy packer, flat and
+// under the hierarchical pod decomposition, pinned bit for bit to the
+// values the full-scan packer produced. Every case runs at K = 1..5 under
+// both objectives, through both the catalog-backed and the enumerating
+// candidate scan (which must agree), so any change to the scan — an early
+// exit that can change a winner, a different tie-break — moves a digest.
+FlowSet packer_golden_flows(const FatTree& ft, std::uint64_t seed,
+                            int rounds, double sensitive_hi,
+                            double tolerant_hi) {
+  // Each round sends one flow from every host to a random derangement
+  // partner, so every host sources and sinks exactly `rounds` flows.
+  Rng rng(seed);
+  const int hosts = ft.num_hosts();
+  FlowSet flows;
+  std::vector<int> dst(static_cast<std::size_t>(hosts));
+  for (int round = 0; round < rounds; ++round) {
+    for (int h = 0; h < hosts; ++h) dst[static_cast<std::size_t>(h)] = h;
+    for (int h = hosts - 1; h > 0; --h) {
+      std::swap(dst[static_cast<std::size_t>(h)],
+                dst[static_cast<std::size_t>(rng.uniform_int(0, h))]);
+    }
+    for (int h = 0; h < hosts; ++h) {
+      if (dst[static_cast<std::size_t>(h)] == h) {
+        std::swap(dst[static_cast<std::size_t>(h)],
+                  dst[static_cast<std::size_t>((h + 1) % hosts)]);
+      }
+    }
+    for (int src = 0; src < hosts; ++src) {
+      const int to = dst[static_cast<std::size_t>(src)];
+      if (rng.bernoulli(0.5)) {
+        flows.add(src, to, rng.uniform(5.0, sensitive_hi),
+                  FlowClass::LatencySensitive);
+      } else {
+        flows.add(src, to, rng.uniform(40.0, tolerant_hi),
+                  FlowClass::LatencyTolerant);
+      }
+    }
+  }
+  return flows;
+}
+
+struct PackerGoldenRun {
+  std::uint64_t digest = 0;
+  int infeasible = 0;
+  int results = 0;
+};
+
+// Digests greedy and hierarchical placements of `flows` under both
+// objectives at K = 1..5; `base` carries the case's masks and options.
+PackerGoldenRun packer_golden_digest(const FatTree& ft, const FlowSet& flows,
+                                     const ConsolidationConfig& base,
+                                     bool best_effort_overflow) {
+  const PathCatalog catalog(&ft);
+  BitDigest digest;
+  PackerGoldenRun run;
+  for (const PlacementObjective objective :
+       {PlacementObjective::MinimizeSwitches,
+        PlacementObjective::BalanceLoad}) {
+    GreedyConsolidatorOptions options;
+    options.objective = objective;
+    options.best_effort_overflow = best_effort_overflow;
+    const GreedyConsolidator greedy(&ft, options);
+    const HierarchicalConsolidator hierarchical(&greedy);
+    const Consolidator* consolidators[] = {&greedy, &hierarchical};
+    for (const Consolidator* consolidator : consolidators) {
+      for (int k = 1; k <= 5; ++k) {
+        ConsolidationConfig config = base;
+        config.scale_factor_k = k;
+        const ConsolidationResult enumerated =
+            consolidator->consolidate(ft, flows, config);
+        config.path_catalog = &catalog;
+        const ConsolidationResult cataloged =
+            consolidator->consolidate(ft, flows, config);
+        const std::uint64_t fp = placement_fingerprint(cataloged);
+        EXPECT_EQ(fp, placement_fingerprint(enumerated))
+            << consolidator->name() << " K=" << k;
+        digest.mix(fp);
+        ++run.results;
+        if (!cataloged.feasible) ++run.infeasible;
+      }
+    }
+  }
+  run.digest = digest.value();
+  return run;
+}
+
+TEST(PackerGolden, HealthyFabricMatchesReferenceBits) {
+  const FatTree ft(8);
+  const FlowSet flows = packer_golden_flows(ft, 21, 2, 50.0, 300.0);
+  const PackerGoldenRun run =
+      packer_golden_digest(ft, flows, fig2_config(1.0), true);
+  EXPECT_LT(run.infeasible, run.results);
+  EXPECT_EQ(run.digest, 0xc7e1ab078cc0efe9ull);
+}
+
+TEST(PackerGolden, AllowedSwitchMaskMatchesReferenceBits) {
+  const FatTree ft(8);
+  const FlowSet flows = packer_golden_flows(ft, 22, 2, 40.0, 300.0);
+  ConsolidationConfig config = fig2_config(1.0);
+  config.allowed_switches = AggregationPolicies(&ft).policy(1).switch_on;
+  int off = 0;
+  for (const Node& n : ft.graph().nodes()) {
+    if (ft.graph().is_switch(n.id) &&
+        !config.allowed_switches[static_cast<std::size_t>(n.id)]) {
+      ++off;
+    }
+  }
+  ASSERT_GT(off, 0);
+  const PackerGoldenRun run = packer_golden_digest(ft, flows, config, true);
+  EXPECT_LT(run.infeasible, run.results);
+  EXPECT_EQ(run.digest, 0x796485ba9822e0f1ull);
+}
+
+TEST(PackerGolden, BlockedLinksMatchReferenceBits) {
+  const FatTree ft(8);
+  const FlowSet flows = packer_golden_flows(ft, 23, 2, 50.0, 300.0);
+  ConsolidationConfig config = fig2_config(1.0);
+  const Graph& g = ft.graph();
+  config.blocked_links.assign(g.num_links(), false);
+  int blocked = 0;
+  for (const Link& l : g.links()) {
+    if (g.is_switch(l.a) && g.is_switch(l.b) && l.id % 5 == 2) {
+      config.blocked_links[static_cast<std::size_t>(l.id)] = true;
+      ++blocked;
+    }
+  }
+  ASSERT_GT(blocked, 0);
+  const PackerGoldenRun run = packer_golden_digest(ft, flows, config, true);
+  EXPECT_LT(run.infeasible, run.results);
+  EXPECT_EQ(run.digest, 0xea793d25bd4036f0ull);
+}
+
+TEST(PackerGolden, OverflowMatchesReferenceBits) {
+  // Demands no fabric can carry: best-effort packs overflow onto the
+  // widest path, strict packs abort.
+  const FatTree ft(8);
+  const FlowSet flows = packer_golden_flows(ft, 24, 3, 150.0, 700.0);
+  const PackerGoldenRun best_effort =
+      packer_golden_digest(ft, flows, fig2_config(1.0), true);
+  const PackerGoldenRun strict =
+      packer_golden_digest(ft, flows, fig2_config(1.0), false);
+  EXPECT_EQ(best_effort.infeasible, best_effort.results);
+  EXPECT_EQ(strict.infeasible, strict.results);
+  EXPECT_EQ(best_effort.digest, 0x508aa981118f488bull);
+  EXPECT_EQ(strict.digest, 0xd32f511825a9537aull);
+}
+
+TEST(PackerGolden, WarmIncrementalMatchesReferenceBits) {
+  // A warm re-pack keeps clean flows and re-packs the dirty ones with the
+  // cold placement rules; both objectives, flat and hierarchical.
+  const FatTree ft(8);
+  const FlowSet previous_flows = packer_golden_flows(ft, 25, 2, 50.0, 300.0);
+  Rng rng(26);
+  FlowSet flows;
+  for (std::size_t i = 0; i < previous_flows.size(); ++i) {
+    const Flow& f = previous_flows[i];
+    int dst = f.dst_host;
+    if (i % 7 == 3) dst = (f.src_host + 1 + static_cast<int>(i)) % ft.num_hosts();
+    if (dst == f.src_host) dst = (dst + 1) % ft.num_hosts();
+    const double scale = i % 3 == 0 ? rng.uniform(0.5, 1.6) : 1.0;
+    flows.add(f.src_host, dst, f.demand * scale, f.cls);
+  }
+  const PathCatalog catalog(&ft);
+  BitDigest digest;
+  int warm = 0;
+  for (const PlacementObjective objective :
+       {PlacementObjective::MinimizeSwitches,
+        PlacementObjective::BalanceLoad}) {
+    GreedyConsolidatorOptions options;
+    options.objective = objective;
+    const GreedyConsolidator greedy(&ft, options);
+    const HierarchicalConsolidator hierarchical(&greedy);
+    const Consolidator* consolidators[] = {&greedy, &hierarchical};
+    for (const Consolidator* consolidator : consolidators) {
+      for (int k = 1; k <= 5; ++k) {
+        ConsolidationConfig config = fig2_config(k);
+        config.path_catalog = &catalog;
+        const ConsolidationResult previous =
+            consolidator->consolidate(ft, previous_flows, config);
+        WarmStartHint hint;
+        hint.previous_flows = &previous_flows;
+        hint.previous = &previous;
+        hint.max_extra_switches = 4;
+        const ConsolidationResult result =
+            consolidator->consolidate_incremental(ft, flows, config, &hint);
+        if (result.warm_started) ++warm;
+        digest.mix(placement_fingerprint(result));
+      }
+    }
+  }
+  EXPECT_GT(warm, 0);
+  EXPECT_EQ(digest.value(), 0x98d5a7825feb25b1ull);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "consolidate/greedy_consolidator.h"
 #include "core/joint_optimizer.h"
 #include "dvfs/synthetic_workload.h"
+#include "golden_digest.h"
 #include "net/path_latency.h"
 #include "stats/fast_log.h"
 
@@ -59,6 +60,41 @@ void expect_plans_identical(const JointPlan& a, const JointPlan& b,
   EXPECT_EQ(a.total_power, b.total_power) << label;
 }
 
+// Prepared hops of every routed (request, reply) pair under `load` whose
+// burst term (p_burst > 0) or collision term (bursty > 0) can fire — the
+// two data-dependent branches of the pair sampler.
+struct HopTermCounts {
+  int burst = 0;
+  int collision = 0;
+};
+
+HopTermCounts count_hop_terms(const LinkUtilization& load,
+                              const ConsolidationResult& placement,
+                              const std::vector<FlowId>& request_flows,
+                              const std::vector<FlowId>& reply_flows) {
+  const PathLatencyEstimator estimator(&load, LinkLatencyModel{});
+  HopTermCounts counts;
+  std::vector<PreparedHop> hops;
+  for (std::size_t i = 0; i < request_flows.size() && i < reply_flows.size();
+       ++i) {
+    // Host-indexed ids: the aggregator's own slot holds no flow.
+    if (request_flows[i] < 0 || reply_flows[i] < 0) continue;
+    const Path& req =
+        placement.flow_paths[static_cast<std::size_t>(request_flows[i])];
+    const Path& rep =
+        placement.flow_paths[static_cast<std::size_t>(reply_flows[i])];
+    if (req.size() < 2 || rep.size() < 2) continue;
+    for (const Path* path : {&req, &rep}) {
+      estimator.prepare(*path, &hops);
+      for (const PreparedHop& hop : hops) {
+        if (hop.p_burst > 0.0) ++counts.burst;
+        if (hop.bursty > 0.0) ++counts.collision;
+      }
+    }
+  }
+  return counts;
+}
+
 TEST(FastPath, ReferenceKnobsByteIdenticalAcrossSeedsAndThreads) {
   const FatTree topo(4);
   const ServiceModel model = fastpath_model();
@@ -94,6 +130,53 @@ TEST(FastPath, ReferenceKnobsByteIdenticalAcrossSeedsAndThreads) {
                 " threads=" + std::to_string(threads) +
                 " knobs=" + std::to_string(mask));
       }
+    }
+  }
+}
+
+TEST(FastPath, LoadedPlanFiresBurstAndCollisionTermsByteIdentical) {
+  // The light loads above never push a planned hop past the burst knee, so
+  // the sampler's burst branch would go undiffed. Here elephants share the
+  // query paths at high utilization: the chosen plan must carry hops with
+  // the burst term and hops with the collision term, and every knob
+  // combination must still return the same bytes at 1/4/8 threads.
+  const FatTree topo(4);
+  const ServiceModel model = fastpath_model();
+  const ServerPowerModel power;
+  Rng rng(11);
+  const FlowSet background =
+      make_background_flows(FlowGenConfig{}, 8, 0.45, 0.1, rng);
+  const double utilization = 0.3;
+  for (const int threads : {1, 4, 8}) {
+    JointOptimizerConfig config;
+    config.slack.samples_per_pair = 150;
+    config.runtime.threads = threads;
+    const JointOptimizer optimizer(&topo, &model, &power, config);
+    PlanRequest fast;
+    fast.background = &background;
+    fast.utilization = utilization;
+    const JointPlan fast_plan = optimizer.optimize(fast);
+
+    const double lambda =
+        query_arrival_rate_per_us(model, power.num_cores(), utilization);
+    const LinkUtilization load = scenario_offered_load(
+        topo.graph(), fast_plan.placement, fast_plan.flows,
+        fast_plan.request_flow, fast_plan.reply_flow,
+        query_stream_rate(lambda, 1000.0), query_stream_rate(lambda, 2000.0));
+    const HopTermCounts counts =
+        count_hop_terms(load, fast_plan.placement, fast_plan.request_flow,
+                        fast_plan.reply_flow);
+    EXPECT_GT(counts.burst, 0) << "threads=" << threads;
+    EXPECT_GT(counts.collision, 0) << "threads=" << threads;
+
+    for (int mask = 1; mask <= 7; ++mask) {
+      PlanRequest reference = fast;
+      reference.use_reference_slack = (mask & 1) != 0;
+      reference.use_reference_dvfs = (mask & 2) != 0;
+      reference.use_reference_enumeration = (mask & 4) != 0;
+      expect_plans_identical(fast_plan, optimizer.optimize(reference),
+                             "threads=" + std::to_string(threads) +
+                                 " knobs=" + std::to_string(mask));
     }
   }
 }
@@ -233,6 +316,112 @@ TEST(FastPath, BatchEstimateMatchesSingleShot) {
     EXPECT_EQ(est.total_mean, single.total_mean);
     EXPECT_EQ(est.total_p95, single.total_p95);
     EXPECT_EQ(est.total_p99, single.total_p99);
+  }
+}
+
+// Slack goldens: estimate_many's five fields, pinned bit for bit to the
+// values the per-hop pair sampler produced. Two queries over one k=4
+// placement under hot loads — hops past the burst knee, hops shared with
+// elephant trains, and hops with both — so every branch of the pair
+// combine fires; 101 samples per pair make each pair wrap a draw block
+// (51 iterations against blocks of 32) and discard an odd partner.
+struct SlackGoldenFixture {
+  FatTree topo{4};
+  FlowSet flows;
+  std::vector<FlowId> request_flows;
+  std::vector<FlowId> reply_flows;
+  ConsolidationResult placement;
+  std::vector<LinkUtilization> loads;
+
+  SlackGoldenFixture() {
+    for (int host = 1; host <= 12; ++host) {
+      request_flows.push_back(
+          flows.add(0, host, 10.0, FlowClass::LatencySensitive));
+      reply_flows.push_back(
+          flows.add(host, 0, 20.0, FlowClass::LatencySensitive));
+    }
+    const GreedyConsolidator greedy(&topo);
+    placement = greedy.consolidate(flows, ConsolidationConfig{});
+    const auto path = [&](FlowId id) -> const Path& {
+      return placement.flow_paths[static_cast<std::size_t>(id)];
+    };
+    // Query 0: a plain hot request path (burst only), an elephant on a
+    // reply path (collision only) and a hot elephant (both).
+    LinkUtilization hot = placement.offered_load(topo.graph(), flows);
+    hot.add_path_load(path(request_flows[4]), 760.0);
+    hot.add_path_load(path(reply_flows[8]), 300.0, /*bursty=*/true);
+    hot.add_path_load(path(request_flows[11]), 820.0, /*bursty=*/true);
+    loads.push_back(hot);
+    // Query 1: the same placement one notch hotter.
+    hot.add_path_load(path(reply_flows[2]), 900.0, /*bursty=*/true);
+    hot.add_path_load(path(request_flows[6]), 250.0);
+    loads.push_back(hot);
+  }
+
+  std::vector<SlackEstimator::Query> queries() const {
+    std::vector<SlackEstimator::Query> out;
+    for (const LinkUtilization& load : loads) {
+      SlackEstimator::Query query;
+      query.placement = &placement;
+      query.offered_load = &load;
+      query.request_flows = &request_flows;
+      query.reply_flows = &reply_flows;
+      out.push_back(query);
+    }
+    return out;
+  }
+};
+
+std::uint64_t slack_digest(const std::vector<SlackEstimate>& estimates) {
+  BitDigest digest;
+  digest.mix(estimates.size());
+  for (const SlackEstimate& e : estimates) {
+    digest.mix_double(e.request_mean);
+    digest.mix_double(e.request_p95);
+    digest.mix_double(e.total_mean);
+    digest.mix_double(e.total_p95);
+    digest.mix_double(e.total_p99);
+  }
+  return digest.value();
+}
+
+TEST(SlackGolden, EstimateManyMatchesReferenceBits) {
+  const SlackGoldenFixture fixture;
+  ASSERT_TRUE(fixture.placement.feasible);
+  // The loads must fire both data-dependent terms, alone and together.
+  int burst = 0;
+  int collision = 0;
+  int both = 0;
+  for (const LinkUtilization& load : fixture.loads) {
+    const PathLatencyEstimator estimator(&load, LinkLatencyModel{});
+    std::vector<PreparedHop> hops;
+    for (const Path& path : fixture.placement.flow_paths) {
+      estimator.prepare(path, &hops);
+      for (const PreparedHop& hop : hops) {
+        if (hop.p_burst > 0.0) ++burst;
+        if (hop.bursty > 0.0) ++collision;
+        if (hop.p_burst > 0.0 && hop.bursty > 0.0) ++both;
+      }
+    }
+  }
+  ASSERT_GT(burst, both);
+  ASSERT_GT(collision, both);
+  ASSERT_GT(both, 0);
+
+  for (const bool reference : {false, true}) {
+    for (const int threads : {1, 4}) {
+      SlackEstimatorConfig config;
+      config.samples_per_pair = 101;
+      config.shards = 8;
+      config.seed = 2024;
+      config.runtime.threads = threads;
+      const SlackEstimator estimator(config);
+      const std::vector<SlackEstimate> estimates =
+          estimator.estimate_many(fixture.queries(), nullptr, reference);
+      ASSERT_EQ(estimates.size(), 2u);
+      EXPECT_EQ(slack_digest(estimates), 0x9f3f9a1b462c8282ull)
+          << "reference=" << reference << " threads=" << threads;
+    }
   }
 }
 

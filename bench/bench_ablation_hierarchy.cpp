@@ -9,15 +9,23 @@
 //      (1024 hosts) for the flat greedy and the hierarchical solver at
 //      1/4/8 pod-solve threads, with the placement fingerprint per row:
 //      every hierarchical row must print the same fingerprint (the
-//      determinism contract), and CI diffs it across runs.
+//      determinism contract), or the bench exits non-zero.
 //   C. end-to-end — one full joint-optimizer cold K sweep at k=4 vs k=16
 //      (hierarchical), same sampling knobs; the k=16 sweep must land
-//      within ~2x of the k=4 one (the BENCH_8.json acceptance metric).
+//      within ~2x of the k=4 one per flow x candidate-path.
+//
+// The trailer lines (`hierarchical-fingerprint:`, `power_gap_k*_compared:`,
+// `power_gap_k*_max_ratio:` and `k16_vs_k4_per_flowpath_ratio:`) are
+// gated by tools/check_trajectory.py against
+// bench/trajectories/BENCH_8.json.
 //
 //   ./bench_ablation_hierarchy [--trials=N] [--reps=N] [--csv|--json]
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <optional>
+#include <set>
 
 #include "bench_common.h"
 #include "consolidate/hierarchical_consolidator.h"
@@ -63,7 +71,15 @@ ConsolidationConfig consolidation_config() {
   return config;
 }
 
-void power_gap(int k_ary, int trials, int flows_per_trial, TableFormat fmt) {
+/// Instances where both solvers found a plan, and the worst hier/flat
+/// network-power ratio among them.
+struct PowerGap {
+  int compared = 0;
+  double max_ratio = 0.0;
+};
+
+PowerGap power_gap(int k_ary, int trials, int flows_per_trial,
+                   TableFormat fmt) {
   const FatTree ft(k_ary);
   const GreedyConsolidator flat(&ft);
   const HierarchicalConsolidator hier;
@@ -93,9 +109,12 @@ void power_gap(int k_ary, int trials, int flows_per_trial, TableFormat fmt) {
              compared ? ratio_sum / compared : 0.0, ratio_max});
   t.print(std::cout, fmt);
   std::printf("\n");
+  return {compared, ratio_max};
 }
 
-void scale_wallclock(int reps, TableFormat fmt) {
+/// Returns the hierarchical placement fingerprint, or nullopt when the
+/// 1/4/8-thread rows disagree.
+std::optional<std::uint64_t> scale_wallclock(int reps, TableFormat fmt) {
   const FatTree ft(16);
   std::printf("k=16 fat-tree: %d hosts, %d switches, cold consolidation of "
               "256 flows\n",
@@ -114,17 +133,21 @@ void scale_wallclock(int reps, TableFormat fmt) {
              static_cast<long long>(result.active_switches),
              strformat("%016llx", static_cast<unsigned long long>(
                                    placement_fingerprint(result)))});
+  std::set<std::uint64_t> hier_fps;
   for (const int threads : {1, 4, 8}) {
     const HierarchicalConsolidator hier(nullptr, {threads});
     ms = time_best_ms(reps,
                       [&] { result = hier.consolidate(ft, flows, config); });
+    const std::uint64_t fp = placement_fingerprint(result);
+    hier_fps.insert(fp);
     t.add_row({strformat("hierarchical t=%d", threads), ms,
                static_cast<long long>(result.active_switches),
-               strformat("%016llx", static_cast<unsigned long long>(
-                                     placement_fingerprint(result)))});
+               strformat("%016llx", static_cast<unsigned long long>(fp))});
   }
   t.print(std::cout, fmt);
   std::printf("\n");
+  if (hier_fps.size() != 1) return std::nullopt;
+  return *hier_fps.begin();
 }
 
 /// Candidate fat-tree paths the packer scores for one flow set: 1 for a
@@ -220,9 +243,22 @@ int main(int argc, char** argv) {
       "per-pod solves + one core-level instance (GreenDCN-style "
       "decomposition); the gap it pays and the scale it buys");
 
-  power_gap(4, trials, 6, fmt);
-  power_gap(8, trials, 24, fmt);
-  scale_wallclock(reps, fmt);
+  const PowerGap k4 = power_gap(4, trials, 6, fmt);
+  const PowerGap k8 = power_gap(8, trials, 24, fmt);
+  const std::optional<std::uint64_t> hier_fp = scale_wallclock(reps, fmt);
   end_to_end(reps, fmt);
-  return 0;
+  if (!hier_fp) {
+    std::printf("FAIL: hierarchical placements differ across pod-solve "
+                "thread counts\n");
+    return EXIT_FAILURE;
+  }
+
+  // Machine-checked trailer (tools/check_trajectory.py).
+  std::printf("hierarchical-fingerprint: %016llx\n",
+              static_cast<unsigned long long>(*hier_fp));
+  std::printf("power_gap_k4_compared: %d\n", k4.compared);
+  std::printf("power_gap_k4_max_ratio: %.3f\n", k4.max_ratio);
+  std::printf("power_gap_k8_compared: %d\n", k8.compared);
+  std::printf("power_gap_k8_max_ratio: %.3f\n", k8.max_ratio);
+  return EXIT_SUCCESS;
 }

@@ -18,9 +18,9 @@
 // cost quartile of the diurnal curve) — strictly lower under temporal
 // scheduling with zero hard-deadline misses. Output is byte-identical for
 // any --threads (planner + scheduler are bit-identical by contract); the
-// trailing `temporal-*` lines are gated in CI by
-// tools/check_trajectory.py --temporal against
-// bench/trajectories/BENCH_10.json.
+// trailing `temporal-fingerprint:`, `temporal_trough_saving_pct:` and
+// `temporal_hard_deadline_misses:` lines are gated in CI by
+// tools/check_trajectory.py against bench/trajectories/BENCH_10.json.
 //
 //   ./bench_ablation_temporal [--epochs=24] [--epoch-sec=3600] [--flows=12]
 //       [--seed=1] [--threads=N] [--epoch-log=F]
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
                   ? "exact"
                   : "VIOLATED");
 
-  // Machine-checked trailer (tools/check_trajectory.py --temporal).
+  // Machine-checked trailer (tools/check_trajectory.py).
   std::printf("\ntemporal-fingerprint: %016" PRIx64 "\n", fp);
   std::printf("baseline_trough_network_w: %.3f\n", base_avg);
   std::printf("temporal_trough_network_w: %.3f\n", temp_avg);

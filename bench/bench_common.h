@@ -44,15 +44,4 @@ inline void print_header(const std::string& figure,
   std::printf("paper: %s\n\n", paper_result.c_str());
 }
 
-/// Applies the shared --reference-* flag set (util/cli.h) to one planning
-/// request. Every knob combination returns a byte-identical plan, so the
-/// flags only trade speed for an independent implementation — useful for
-/// bisecting a determinism regression in the field.
-inline void apply_reference_flags(const ReferenceFlags& flags,
-                                  PlanRequest* request) {
-  request->use_reference_slack = flags.slack;
-  request->use_reference_dvfs = flags.dvfs;
-  request->use_reference_enumeration = flags.enumeration;
-}
-
 }  // namespace eprons::bench

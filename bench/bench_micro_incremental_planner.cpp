@@ -18,8 +18,8 @@
 // candidates lands near 4.5-5x — the bar guards the warm path's own
 // regressions, not the old baseline.) The `cached` row replays the same
 // epochs against the already-filled cache. All rows are bit-identical for
-// any --threads value; CI diffs the --json --no-timing output across
-// thread counts.
+// any --threads value; CI's tools/check_trajectory.py diffs the
+// --json --no-timing output across thread counts.
 //
 //   ./bench_micro_incremental_planner [--epochs=10] [--flows=48]
 //       [--samples=400] [--reps=3] [--min-speedup=3] [--no-timing]

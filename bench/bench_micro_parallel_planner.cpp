@@ -17,12 +17,14 @@
 // byte-identical plan (the determinism contract: results are a function of
 // seed and shard count — never of worker count or of which implementation
 // ran), which the bench checks field-for-field and summarizes as one
-// 64-bit plan fingerprint per row. CI diffs the fingerprints fast vs
-// reference and tracks the serial speedup in BENCH_6.json.
+// 64-bit plan fingerprint per row; it exits non-zero when any row differs.
+// The `plan-fingerprint:` and `speedup_vs_reference:` trailer lines are
+// gated by tools/check_trajectory.py against
+// bench/trajectories/BENCH_7.json (the pinned fingerprint and the
+// within-run speedup floor).
 //
 //   ./bench_micro_parallel_planner [--reps=5] [--samples=400] [--csv|--json]
-//       [--no-timing] [--threads=N] [--reference-slack] [--reference-dvfs]
-//       [--reference-enumeration] [--reference]
+//       [--no-timing] [--threads=N]
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -112,7 +114,6 @@ int main(int argc, char** argv) {
   const TableFormat fmt = table_format_from_cli(cli);
   const int reps = static_cast<int>(cli.get_int("reps", 5));
   const bool no_timing = cli.has_flag("no-timing");
-  const ReferenceFlags forced = reference_flags_from_cli(cli);
   bench::print_header(
       "Micro — cold K sweep, reference vs fast, serial vs parallel",
       "n/a (implementation microbenchmark: byte-identical plans from every "
@@ -159,16 +160,9 @@ int main(int argc, char** argv) {
     PlanRequest request;
     request.background = &background;
     request.utilization = utilization;
-    if (spec.reference) {
-      request.use_reference_slack = true;
-      request.use_reference_dvfs = true;
-      request.use_reference_enumeration = true;
-    } else {
-      // The fast rows still honor an explicit --reference-* flag, so one
-      // suspect subsystem can be pinned to its reference implementation
-      // while the rest stays fast (determinism bisection).
-      bench::apply_reference_flags(forced, &request);
-    }
+    request.use_reference_slack = spec.reference;
+    request.use_reference_dvfs = spec.reference;
+    request.use_reference_enumeration = spec.reference;
 
     JointPlan plan;
     const double best_ms = time_optimize(optimizer, request, reps, &plan);
@@ -201,13 +195,19 @@ int main(int argc, char** argv) {
     std::printf("FAIL: plans differ across implementations/threads\n");
     return EXIT_FAILURE;
   }
+  const double speedup =
+      fast_serial_ms > 0.0 ? reference_ms / fast_serial_ms : 0.0;
   if (!no_timing) {
     std::printf("serial cold sweep: reference %.2f ms, fast %.2f ms "
                 "(%.1fx)\n",
-                reference_ms, fast_serial_ms,
-                fast_serial_ms > 0.0 ? reference_ms / fast_serial_ms : 0.0);
+                reference_ms, fast_serial_ms, speedup);
   }
   std::printf("all implementations and thread counts produced "
               "byte-identical plans\n");
+
+  // Machine-checked trailer (tools/check_trajectory.py).
+  std::printf("plan-fingerprint: %016llx\n",
+              static_cast<unsigned long long>(fast_fp));
+  if (!no_timing) std::printf("speedup_vs_reference: %.1f\n", speedup);
   return EXIT_SUCCESS;
 }

@@ -10,9 +10,9 @@
 //
 // Output is byte-identical for any --threads (the DES is serial; threads
 // only parallelize the planner, which is bit-identical by contract). The
-// trailing `serving-fingerprint:` / `serving_throughput_qps:` lines are
-// gated in CI by tools/check_trajectory.py against
-// bench/trajectories/BENCH_9.json.
+// trailing `serving-fingerprint:`, `serving_throughput_qps:` and
+// `serving_total_arrivals:` lines are gated in CI by
+// tools/check_trajectory.py against bench/trajectories/BENCH_9.json.
 //
 //   ./bench_serving_openloop [--peak-qps=40] [--horizon=900] [--window=60]
 //       [--epoch-len=300] [--admission=...] [--threads=N] [--epoch-log=F]
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout, fmt);
 
-  // Machine-checked trailer (tools/check_trajectory.py --serving).
+  // Machine-checked trailer (tools/check_trajectory.py).
   std::printf("\nserving-fingerprint: %016" PRIx64 "\n", fp);
   std::printf("serving_throughput_qps: %.3f\n", peak_throughput_qps);
   std::printf("serving_total_arrivals: %lld\n", total_arrivals);

@@ -566,34 +566,4 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
   return fallback;
 }
 
-JointPlan JointOptimizer::optimize(const FlowSet& background,
-                                   double utilization) const {
-  PlanRequest request;
-  request.background = &background;
-  request.utilization = utilization;
-  return optimize(request);
-}
-
-JointPlan JointOptimizer::optimize(const FlowSet& background,
-                                   double utilization,
-                                   const PlanConstraints& constraints) const {
-  PlanRequest request;
-  request.background = &background;
-  request.utilization = utilization;
-  request.constraints = constraints;
-  return optimize(request);
-}
-
-JointPlan JointOptimizer::optimize(const FlowSet& background,
-                                   double utilization,
-                                   const PlanConstraints& constraints,
-                                   const JointPlan* previous) const {
-  PlanRequest request;
-  request.background = &background;
-  request.utilization = utilization;
-  request.constraints = constraints;
-  request.previous = previous;
-  return optimize(request);
-}
-
 }  // namespace eprons

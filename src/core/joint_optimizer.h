@@ -145,9 +145,10 @@ struct JointPlan {
 /// One planning request: everything optimize() needs for a call, plus
 /// per-call knobs selecting the fast or the retained reference
 /// implementation of each optimized subsystem. The knobs exist for
-/// differential testing and for bisecting a determinism regression
-/// (docs/DETERMINISM.md): every knob combination returns a byte-identical
-/// JointPlan — only the wall-clock differs.
+/// differential testing (docs/DETERMINISM.md) and for timing the fast
+/// pipeline against the reference one (bench_micro_parallel_planner):
+/// every knob combination returns a byte-identical JointPlan — only the
+/// wall-clock differs.
 struct PlanRequest {
   /// The background (non-query) traffic to place. Required; not owned.
   const FlowSet* background = nullptr;
@@ -209,17 +210,6 @@ class JointOptimizer {
   /// the result is bit-identical for any thread count and any
   /// use_reference_* knob combination.
   JointPlan optimize(const PlanRequest& request) const;
-
-  /// Deprecated compatibility shims over optimize(const PlanRequest&).
-  [[deprecated("build a PlanRequest and call optimize(const PlanRequest&)")]]
-  JointPlan optimize(const FlowSet& background, double utilization) const;
-  [[deprecated("build a PlanRequest and call optimize(const PlanRequest&)")]]
-  JointPlan optimize(const FlowSet& background, double utilization,
-                     const PlanConstraints& constraints) const;
-  [[deprecated("build a PlanRequest and call optimize(const PlanRequest&)")]]
-  JointPlan optimize(const FlowSet& background, double utilization,
-                     const PlanConstraints& constraints,
-                     const JointPlan* previous) const;
 
  private:
   /// Background + query flows assembled once per optimize() call and

@@ -145,7 +145,8 @@ struct PlanExplainRecord {
 };
 
 /// Serializes one record as a single '\n'-terminated JSON object line with
-/// fixed field order (same contract as obs/jsonl.h).
+/// fixed field order (same contract and serializer as obs/jsonl.h; defined
+/// in obs/jsonl.cpp).
 std::string to_jsonl(const AttributionRecord& record);
 std::string to_jsonl(const PlanExplainRecord& record);
 

@@ -180,9 +180,6 @@ class JsonlWriter {
   void write(const ScheduleSummaryRecord& record);
   void write(const AttributionRecord& record);
   void write(const PlanExplainRecord& record);
-  /// Writes one pre-serialized JSONL line (must be '\n'-terminated) under
-  /// the same line-level lock — for record types serialized elsewhere.
-  void write_raw(const std::string& line);
   std::size_t records_written() const;
 
  private:

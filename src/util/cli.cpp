@@ -86,15 +86,6 @@ TableFormat table_format_from_cli(const Cli& cli) {
   return TableFormat::kPretty;
 }
 
-ReferenceFlags reference_flags_from_cli(const Cli& cli) {
-  ReferenceFlags flags;
-  const bool all = cli.has_flag("reference");
-  flags.slack = all || cli.has_flag("reference-slack");
-  flags.dvfs = all || cli.has_flag("reference-dvfs");
-  flags.enumeration = all || cli.has_flag("reference-enumeration");
-  return flags;
-}
-
 ServingFlags serving_flags_from_cli(const Cli& cli) {
   ServingFlags flags;
   flags.peak_qps = cli.get_double("peak-qps", flags.peak_qps);

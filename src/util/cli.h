@@ -57,24 +57,6 @@ RuntimeConfig runtime_from_cli(const Cli& cli);
 /// Shared output-format flags: --json wins over --csv; neither = pretty.
 TableFormat table_format_from_cli(const Cli& cli);
 
-/// The planner's retained reference paths, selectable per run. Mirrors the
-/// PlanRequest use_reference_* knobs without depending on src/core, so the
-/// flag set is declared once here and every bench/example picks up new
-/// knobs for free (bench_common.h applies it to a PlanRequest).
-struct ReferenceFlags {
-  bool slack = false;        ///< per-sample Monte-Carlo path walks
-  bool dvfs = false;         ///< per-decision equivalent-work convolution
-  bool enumeration = false;  ///< per-call path enumeration (no catalog)
-  bool any() const { return slack || dvfs || enumeration; }
-};
-
-/// Shared reference-path flags:
-///   --reference-slack        reference slack estimation
-///   --reference-dvfs         reference DVFS frequency scan
-///   --reference-enumeration  reference path enumeration
-///   --reference              all of the above
-ReferenceFlags reference_flags_from_cli(const Cli& cli);
-
 /// Open-loop serving flags shared by the serving bench/example (mirrors
 /// ServingHarnessConfig without depending on src/serve — the serve layer
 /// applies the values).

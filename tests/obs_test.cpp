@@ -356,6 +356,41 @@ TEST(EpochJsonl, RoundTripsEveryField) {
   EXPECT_EQ(parse_field(line, "slack_total_p99_us"), 6100.0);
   EXPECT_EQ(parse_field(line, "server_budget_us"), 25799.5);
   EXPECT_EQ(parse_field(line, "utilization"), 0.3);
+  // Exact bytes: field order, separators and the %.17g number form.
+  EXPECT_EQ(line,
+            "{\"source\": \"epoch_controller\", \"epoch\": 7, "
+            "\"chosen_k\": 2.5, \"feasible\": true, \"wanted_switches\": 12, "
+            "\"actual_switches\": 14, \"predicted_total_w\": 3381.25, "
+            "\"realized_network_w\": 504, "
+            "\"prediction_ratio\": 1.3100000000000001, "
+            "\"slack_total_p95_us\": 4200.5, \"slack_total_p99_us\": 6100, "
+            "\"server_budget_us\": 25799.5, "
+            "\"utilization\": 0.29999999999999999}\n");
+}
+
+TEST(EpochJsonl, FaultRecordGolden) {
+  FaultRecord r;
+  r.epoch = 3;
+  r.failed_switches = 2;
+  r.failed_links = 5;
+  r.connected = true;
+  r.hot_recovery = false;
+  r.replanned = true;
+  r.chosen_k = 1.5;
+  r.k_bumped = true;
+  r.woken_backups = 1;
+  r.emergency_boots = 4;
+  r.flows_rerouted = 17;
+  r.time_to_replan_us = 2000000.0;
+  r.estimated_outage_violations = 0.1;
+  EXPECT_EQ(to_jsonl(r),
+            "{\"source\": \"fault_recovery\", \"epoch\": 3, "
+            "\"failed_switches\": 2, \"failed_links\": 5, "
+            "\"connected\": true, \"hot_recovery\": false, "
+            "\"replanned\": true, \"chosen_k\": 1.5, \"k_bumped\": true, "
+            "\"woken_backups\": 1, \"emergency_boots\": 4, "
+            "\"flows_rerouted\": 17, \"time_to_replan_us\": 2000000, "
+            "\"estimated_outage_violations\": 0.10000000000000001}\n");
 }
 
 TEST(EpochJsonl, WriterStreamsOneLinePerRecord) {

@@ -78,6 +78,8 @@ def main():
     binary = Path(args.binary)
     if not binary.is_file():
         raise SystemExit(f"{binary}: no such binary (build the repo first)")
+    # Absolute, so exec never searches PATH (str(Path("./x")) is "x").
+    binary = binary.resolve()
 
     fixed = [parse_kv(s, allow_list=False) for s in args.fixed]
     sweep = [parse_kv(s, allow_list=True) for s in args.sweep]
@@ -116,10 +118,11 @@ def main():
             exit_code = proc.returncode
             stdout, stderr = proc.stdout, proc.stderr
         except subprocess.TimeoutExpired as err:
+            # The partial output is bytes even with text=True.
             exit_code = -1
-            stdout = err.stdout or ""
-            stderr = (err.stderr or "") + f"\n[sweep] timeout after "\
-                f"{args.timeout}s"
+            stdout = (err.stdout or b"").decode(errors="replace")
+            stderr = (err.stderr or b"").decode(errors="replace") + \
+                f"\n[sweep] timeout after {args.timeout}s"
         (run_dir / "stdout.txt").write_text(stdout)
         if stderr:
             (run_dir / "stderr.txt").write_text(stderr)

@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
       rec.flows_active = schedule.flows_active[static_cast<std::size_t>(e)];
       rec.flows_completed =
           schedule.flows_completed[static_cast<std::size_t>(e)];
-      rec.cap_mbit = scheduler.epoch_cap(e);
+      rec.cap_mbit = scheduler.config().epoch_cap_mbit;
       rec.cost_level = scheduler.epoch_cost(e);
       rec.demand_mbps = schedule.demand_mbps(e);
       sink->write(rec);

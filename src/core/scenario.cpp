@@ -7,13 +7,31 @@
 
 namespace eprons {
 
-FlowGenConfig Scenario::flow_gen(int aggregator_host) const {
+FlowGenConfig topology_flow_gen(const Topology& topo, int aggregator_host) {
   FlowGenConfig config;
-  config.num_hosts = topo_->num_hosts();
-  config.link_capacity = topo_->link_capacity();
-  config.hosts_per_edge = topo_->hosts_per_access_switch();
+  config.num_hosts = topo.num_hosts();
+  config.link_capacity = topo.link_capacity();
+  config.hosts_per_edge = topo.hosts_per_access_switch();
   config.exclude_host = aggregator_host;
   return config;
+}
+
+TemporalSchedulerConfig topology_scheduler_config(
+    const Topology& topo, const RuntimeConfig& runtime,
+    TemporalSchedulerConfig config) {
+  if (config.runtime.threads <= 1) config.runtime = runtime;
+  const double uplink_epoch_mbit = topo.link_capacity() * config.epoch_seconds;
+  if (config.epoch_cap_mbit <= 0) {
+    config.epoch_cap_mbit = static_cast<long long>(uplink_epoch_mbit * 0.5);
+  }
+  if (config.flow_rate_cap_mbit <= 0) {
+    config.flow_rate_cap_mbit = static_cast<long long>(uplink_epoch_mbit * 0.4);
+  }
+  return config;
+}
+
+FlowGenConfig Scenario::flow_gen(int aggregator_host) const {
+  return topology_flow_gen(*topo_, aggregator_host);
 }
 
 TimedFlowGenConfig Scenario::timed_flow_gen(int aggregator_host) const {
@@ -29,20 +47,8 @@ TimedFlowGenConfig Scenario::timed_flow_gen(int aggregator_host) const {
 
 TemporalScheduler Scenario::temporal_scheduler(
     TemporalSchedulerConfig config) const {
-  if (config.runtime.threads <= 1) config.runtime = runtime_;
-  if (config.epoch_cap_mbit <= 0 && config.epoch_cap_override.empty()) {
-    // Half an uplink-epoch of aggregate elastic volume: deep enough to
-    // pack whole flows into troughs, shallow enough that the packed
-    // demand matrix stays placeable under the consolidator's margin.
-    config.epoch_cap_mbit = static_cast<long long>(
-        topo_->link_capacity() * config.epoch_seconds * 0.5);
-  }
-  if (config.flow_rate_cap_mbit <= 0) {
-    // One flow may claim at most 40% of an uplink per epoch.
-    config.flow_rate_cap_mbit = static_cast<long long>(
-        topo_->link_capacity() * config.epoch_seconds * 0.4);
-  }
-  return TemporalScheduler(std::move(config));
+  return TemporalScheduler(
+      topology_scheduler_config(*topo_, runtime_, std::move(config)));
 }
 
 JointOptimizer Scenario::optimizer(JointOptimizerConfig config,

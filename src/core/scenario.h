@@ -31,6 +31,19 @@ namespace eprons {
 
 class ScenarioBuilder;
 
+/// Background-flow generator config matched to `topo` — the elephant
+/// endpoint layout; the aggregator host's edge group is excluded so
+/// elephants never contend with the query fan-in on its edge downlink.
+FlowGenConfig topology_flow_gen(const Topology& topo, int aggregator_host);
+
+/// `config` with its unset values defaulted from `topo` and `runtime`:
+/// `runtime` unless the config already asks for parallelism, an epoch cap
+/// of half an uplink-epoch of volume (packed epochs stay placeable under
+/// the consolidator's safety margin) and a per-flow cap of 40% of one.
+TemporalSchedulerConfig topology_scheduler_config(
+    const Topology& topo, const RuntimeConfig& runtime,
+    TemporalSchedulerConfig config);
+
 /// An immutable, self-owning experiment substrate. Factory methods return
 /// components wired to the scenario's models; the Scenario must outlive
 /// everything it hands out.
@@ -48,9 +61,7 @@ class Scenario {
   const RuntimeConfig& runtime() const { return runtime_; }
   std::uint64_t seed() const { return seed_; }
 
-  /// Background-flow generator config matched to this topology; the
-  /// aggregator host's edge group is excluded so elephants never contend
-  /// with the query fan-in on its edge downlink.
+  /// topology_flow_gen for this scenario's topology.
   FlowGenConfig flow_gen(int aggregator_host = 0) const;
 
   /// Deadline-bound background (timed) flow generator config matched to
@@ -60,10 +71,7 @@ class Scenario {
   TimedFlowGenConfig timed_flow_gen(int aggregator_host = 0) const;
 
   /// A temporal scheduler (schedule/temporal_scheduler.h) for this
-  /// scenario. The scenario's runtime (thread count) is applied unless the
-  /// config already asks for parallelism; the epoch cap defaults to half
-  /// one uplink-hour of volume when unset, so packed epochs stay placeable
-  /// under the consolidator's safety margin.
+  /// scenario, its config defaulted by topology_scheduler_config.
   TemporalScheduler temporal_scheduler(TemporalSchedulerConfig config = {})
       const;
 

@@ -319,21 +319,4 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
   return out;
 }
 
-SlackEstimate estimate_network_slack(const Graph& graph,
-                                     const ConsolidationResult& placement,
-                                     const LinkUtilization& offered_load,
-                                     const std::vector<FlowId>& request_flows,
-                                     const std::vector<FlowId>& reply_flows,
-                                     const SlackEstimatorConfig& config,
-                                     ThreadPool* pool) {
-  (void)graph;
-  const SlackEstimator estimator(config);
-  SlackEstimator::Query query;
-  query.placement = &placement;
-  query.offered_load = &offered_load;
-  query.request_flows = &request_flows;
-  query.reply_flows = &reply_flows;
-  return estimator.estimate(query, pool);
-}
-
 }  // namespace eprons

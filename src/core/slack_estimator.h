@@ -116,14 +116,4 @@ class SlackEstimator {
   SlackEstimatorConfig config_;
 };
 
-/// Single-shot compatibility wrapper over SlackEstimator::estimate (the
-/// original free-function entry point; prefer the class for new callers).
-SlackEstimate estimate_network_slack(const Graph& graph,
-                                     const ConsolidationResult& placement,
-                                     const LinkUtilization& offered_load,
-                                     const std::vector<FlowId>& request_flows,
-                                     const std::vector<FlowId>& reply_flows,
-                                     const SlackEstimatorConfig& config,
-                                     ThreadPool* pool = nullptr);
-
 }  // namespace eprons

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/scenario.h"
 #include "obs/telemetry.h"
 #include "topo/aggregation.h"
 
@@ -28,13 +29,9 @@ TraceReplay::TraceReplay(const FatTree* topo,
       config_(std::move(config)) {}
 
 FlowSet TraceReplay::background_at(double background_util, Rng& rng) const {
-  FlowGenConfig gen;
-  gen.num_hosts = topo_->num_hosts();
-  gen.link_capacity = topo_->link_capacity();
-  gen.hosts_per_edge = topo_->k() / 2;
-  gen.exclude_host = config_.scenario.cluster.aggregator_host;
-  return make_background_flows(gen, config_.background_flows, background_util,
-                               /*jitter=*/0.1, rng);
+  return make_background_flows(
+      topology_flow_gen(*topo_, config_.scenario.cluster.aggregator_host),
+      config_.background_flows, background_util, /*jitter=*/0.1, rng);
 }
 
 CalibrationPoint TraceReplay::calibrate_point(Scheme scheme,

@@ -9,11 +9,8 @@
 // which server component (idle floor / dynamic work / DVFS residual), and
 // which side of the latency budget (network slack vs. server service time).
 //
-// Hard invariant — components sum bit-identically to the totals:
-//   network_total_w == ((edge_w + agg_w) + core_w) + link_w
-//   server_total_w  == (server_idle_w + server_dynamic_w)
-//                        + server_dvfs_residual_w
-//   total_w         == network_total_w + server_total_w
+// Hard invariant — components sum bit-identically to the totals (the
+// AttributionRecord identities below, each sum re-added left to right)
 // for any --threads value. This is *not* a post-hoc decomposition with a
 // closing residual: the producers (consolidate/consolidation.cpp's
 // finalize_result, core/server_power_predictor.cpp, the epoch controller's
@@ -26,11 +23,15 @@
 // through text).
 //
 // These types live in obs (which depends only on util) and therefore carry
-// primitives only; core/attribution.h builds them from planner types.
+// primitives only; core/attribution.h builds them from planner types. Each
+// record is one declaration (sources, field table, identities) driving the
+// serializer and schema of obs/jsonl.h.
 #pragma once
 
 #include <string>
 #include <vector>
+
+#include "obs/jsonl.h"
 
 namespace eprons::obs {
 
@@ -73,6 +74,26 @@ struct PowerAttribution {
 
   /// total_w == network_total_w + server_total_w, bit-exact.
   double total_w = 0.0;
+
+  void fields(auto&& f) const {
+    f("edge_w", edge_w);
+    f("agg_w", agg_w);
+    f("core_w", core_w);
+    f("link_w", link_w);
+    f("network_total_w", network_total_w);
+    f("linger_overhead_w", linger_overhead_w);
+    f("edge_switches", edge_switches);
+    f("agg_switches", agg_switches);
+    f("core_switches", core_switches);
+    f("active_links", active_links);
+    f("linger_switches", linger_switches);
+    f("server_idle_w", server_idle_w);
+    f("server_dynamic_w", server_dynamic_w);
+    f("server_dvfs_residual_w", server_dvfs_residual_w);
+    f("server_total_w", server_total_w);
+    f("hosts", hosts);
+    f("total_w", total_w);
+  }
 };
 
 /// Where the end-to-end latency budget of one epoch went, and — when the
@@ -92,6 +113,15 @@ struct LatencyAttribution {
   /// (slack consumed the whole constraint), "server" (budget unreachable
   /// even at f_max) or "placement" (consolidation violated the margin).
   std::string miss_charged_to;
+
+  void fields(auto&& f) const {
+    f("constraint_us", constraint_us);
+    f("network_p95_us", network_p95_us);
+    f("network_p99_us", network_p99_us);
+    f("request_p95_us", request_p95_us);
+    f("server_budget_us", server_budget_us);
+    f("miss_charged_to", miss_charged_to);
+  }
 };
 
 /// One epoch ledger line (source "attribution" in the JSONL stream).
@@ -103,6 +133,24 @@ struct AttributionRecord {
   bool feasible = false;
   PowerAttribution power;
   LatencyAttribution latency;
+
+  static constexpr const char* sources[] = {"attribution"};
+  static constexpr const char* identities[] = {
+      "network_total_w == edge_w + agg_w + core_w + link_w",
+      "server_total_w == server_idle_w + server_dynamic_w + "
+      "server_dvfs_residual_w",
+      "total_w == network_total_w + server_total_w",
+      "linger_switches <= edge_switches + agg_switches + core_switches",
+  };
+  void fields(auto&& f) const {
+    f("source", sources[0]);
+    f("producer", source);
+    f("epoch", epoch);
+    f("chosen_k", chosen_k);
+    f("feasible", feasible);
+    power.fields(f);
+    latency.fields(f);
+  }
 };
 
 /// One row of the planner's candidate-K table.
@@ -123,6 +171,20 @@ struct PlanCandidateExplain {
   double slack_p95_us = 0.0;
   double server_budget_us = 0.0;
   int active_switches = 0;
+
+  void fields(auto&& f) const {
+    f("k", k);
+    f("feasible", feasible);
+    f("from_cache", from_cache);
+    f("reject_reason", reject_reason);
+    f("total_w", total_w);
+    f("network_w", network_w);
+    f("server_w", server_w);
+    f("violation_probability", violation_probability);
+    f("slack_p95_us", slack_p95_us);
+    f("server_budget_us", server_budget_us);
+    f("active_switches", active_switches);
+  }
 };
 
 /// Why the planner chose what it chose (source "plan_explain").
@@ -142,12 +204,20 @@ struct PlanExplainRecord {
   /// Every candidate the sweep evaluated (or fetched from cache), in
   /// candidate order. The warm/cache paths carry a single row.
   std::vector<PlanCandidateExplain> candidates;
-};
 
-/// Serializes one record as a single '\n'-terminated JSON object line with
-/// fixed field order (same contract and serializer as obs/jsonl.h; defined
-/// in obs/jsonl.cpp).
-std::string to_jsonl(const AttributionRecord& record);
-std::string to_jsonl(const PlanExplainRecord& record);
+  static constexpr const char* sources[] = {"plan_explain"};
+  void fields(auto&& f) const {
+    f("source", sources[0]);
+    f("producer", source);
+    f("epoch", epoch);
+    f("path", path);
+    f("chosen_k", chosen_k);
+    f("feasible", feasible);
+    f("chosen_total_w", chosen_total_w);
+    f("consolidation_on_w", consolidation_on_w);
+    f("consolidation_off_w", consolidation_off_w);
+    f("candidates", candidates);
+  }
+};
 
 }  // namespace eprons::obs

@@ -26,16 +26,11 @@ ExactScheduleResult ExactScheduler::solve(const TimedFlowSet& flows) const {
     return result;
   }
 
-  // Effective cost/cap accessors mirroring TemporalScheduler's.
+  // Effective cost accessor mirroring TemporalScheduler's.
   auto cost_of = [this](int e) {
     return config_.epoch_cost.empty()
                ? 0.0
                : config_.epoch_cost[static_cast<std::size_t>(e)];
-  };
-  auto cap_of = [this](int e) {
-    return config_.epoch_cap_override.empty()
-               ? config_.epoch_cap_mbit
-               : config_.epoch_cap_override[static_cast<std::size_t>(e)];
   };
 
   lp::Model model(lp::Sense::Minimize);
@@ -68,7 +63,7 @@ ExactScheduleResult ExactScheduler::solve(const TimedFlowSet& flows) const {
   for (int e = 0; e < epochs; ++e) {
     const int row = model.add_row("cap_" + std::to_string(e),
                                   lp::RowType::LessEqual,
-                                  static_cast<double>(cap_of(e)));
+                                  static_cast<double>(config_.epoch_cap_mbit));
     bool any = false;
     for (std::size_t f = 0; f < n; ++f) {
       const int var = var_of[f][static_cast<std::size_t>(e)];

@@ -98,20 +98,9 @@ TemporalScheduler::TemporalScheduler(TemporalSchedulerConfig config)
       static_cast<int>(config_.epoch_cost.size()) != config_.epochs) {
     throw std::invalid_argument("epoch_cost size must match epochs");
   }
-  if (!config_.epoch_cap_override.empty() &&
-      static_cast<int>(config_.epoch_cap_override.size()) != config_.epochs) {
-    throw std::invalid_argument("epoch_cap_override size must match epochs");
-  }
   if (config_.runtime.threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.runtime.threads);
   }
-}
-
-long long TemporalScheduler::epoch_cap(int epoch) const {
-  if (!config_.epoch_cap_override.empty()) {
-    return config_.epoch_cap_override[static_cast<std::size_t>(epoch)];
-  }
-  return config_.epoch_cap_mbit;
 }
 
 double TemporalScheduler::epoch_cost(int epoch) const {
@@ -132,10 +121,8 @@ bool TemporalScheduler::greedy_pass(const TimedFlowSet& flows,
     return a < b;
   });
 
-  std::vector<long long> cap_left(static_cast<std::size_t>(epochs));
-  for (int e = 0; e < epochs; ++e) {
-    cap_left[static_cast<std::size_t>(e)] = epoch_cap(e);
-  }
+  std::vector<long long> cap_left(static_cast<std::size_t>(epochs),
+                                  config_.epoch_cap_mbit);
 
   bool all_placed = true;
   for (const std::size_t f : deadline_order(flows)) {
@@ -177,7 +164,7 @@ void TemporalScheduler::edf_pass(const TimedFlowSet& flows,
 
   const std::vector<std::size_t> by_deadline = deadline_order(flows);
   for (int e = 0; e < epochs; ++e) {
-    long long cap = epoch_cap(e);
+    long long cap = config_.epoch_cap_mbit;
     for (const std::size_t f : by_deadline) {
       if (cap == 0) break;
       const TimedFlow& flow = flows[f];

@@ -54,10 +54,8 @@ struct TemporalSchedulerConfig {
   /// objective reported is sum(cost[e] * mbit[e]). Use
   /// `diurnal_epoch_cost` for the energy-aware price (1 - diurnal shape).
   std::vector<double> epoch_cost;
-  /// Aggregate elastic budget per epoch, Mbit (all flows combined). A
-  /// non-empty `epoch_cap_override` replaces it per epoch.
+  /// Aggregate elastic budget per epoch, Mbit (all flows combined).
   long long epoch_cap_mbit = 0;
-  std::vector<long long> epoch_cap_override;
   /// Per-flow per-epoch allocation cap, Mbit (bounds one transfer's rate
   /// so a packed epoch stays placeable under the consolidator's safety
   /// margin). 0 = unlimited.
@@ -141,8 +139,6 @@ class TemporalScheduler {
   explicit TemporalScheduler(TemporalSchedulerConfig config);
 
   const TemporalSchedulerConfig& config() const { return config_; }
-  /// Effective cap of epoch `e`, Mbit (override, else the scalar cap).
-  long long epoch_cap(int epoch) const;
   /// Effective cost of epoch `e` (0.0 when epoch_cost is empty).
   double epoch_cost(int epoch) const;
 

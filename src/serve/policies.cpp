@@ -7,13 +7,11 @@ namespace eprons {
 
 AdmissionDecision TokenBucketPolicy::decide(const AdmissionContext& ctx) {
   // Refill from the configured rate, or track the harness's sustainable
-  // rate when the config leaves it at 0 (auto).
-  double rate = refill_rate_;
-  if (config_.bucket_rate_qps > 0.0) {
-    rate = config_.bucket_rate_qps / 1.0e6;
-  } else if (rate <= 0.0) {
-    rate = ctx.sustainable_rate_qps / 1.0e6;
-  }
+  // rate when the config leaves it at 0 (auto). Queries per us.
+  const double rate = (config_.bucket_rate_qps > 0.0
+                           ? config_.bucket_rate_qps
+                           : ctx.sustainable_rate_qps) /
+                      1.0e6;
   const SimTime dt = ctx.now - last_refill_;
   if (dt > 0.0) {
     tokens_ = std::min(config_.bucket_burst, tokens_ + rate * dt);
@@ -25,14 +23,6 @@ AdmissionDecision TokenBucketPolicy::decide(const AdmissionContext& ctx) {
   if (tokens_ < 1.0) return AdmissionDecision::Shed;
   tokens_ -= 1.0;
   return AdmissionDecision::Admit;
-}
-
-void TokenBucketPolicy::on_epoch(const PolicySnapshot& snapshot) {
-  (void)snapshot;
-  // The auto refill rate re-derives from the next arrival's context (the
-  // sustainable rate may change with the plan's frequency choice); nothing
-  // to do beyond clearing the cached value.
-  if (config_.bucket_rate_qps <= 0.0) refill_rate_ = 0.0;
 }
 
 AdmissionDecision SlaAwareAdmissionPolicy::decide(const AdmissionContext& ctx) {

@@ -16,8 +16,8 @@ class AlwaysAdmitPolicy : public AdmissionPolicy {
 };
 
 /// Classic token bucket with a queue bound. Tokens refill at
-/// `bucket_rate_qps` (or, when 0, at the sustainable service rate the
-/// harness derives from the current plan each epoch) up to `bucket_burst`;
+/// `bucket_rate_qps` (or, when 0, at the harness's sustainable service
+/// rate) up to `bucket_burst`;
 /// an arrival needing a token from an empty bucket — or arriving to an
 /// over-bound dispatch queue — is shed.
 class TokenBucketPolicy : public AdmissionPolicy {
@@ -26,14 +26,11 @@ class TokenBucketPolicy : public AdmissionPolicy {
       : config_(config), tokens_(config.bucket_burst) {}
 
   AdmissionDecision decide(const AdmissionContext& ctx) override;
-  void on_epoch(const PolicySnapshot& snapshot) override;
   const char* name() const override { return "token-bucket"; }
 
  private:
   PolicyConfig config_;
   double tokens_;
-  /// queries per us; <= 0 means "derive from ctx.sustainable_rate_qps".
-  double refill_rate_ = 0.0;
   SimTime last_refill_ = 0.0;
 };
 

@@ -26,31 +26,21 @@ namespace eprons {
 /// Epoch-stable view of the planner's chosen plan, refreshed by the harness
 /// after each EpochController::run_epoch.
 struct PolicySnapshot {
-  int epoch = -1;
   bool have_plan = false;
   bool feasible = false;
-  double chosen_k = 0.0;
-  /// Network round-trip slack tails from the plan's Monte-Carlo estimate, us.
-  SimTime slack_total_p95 = 0.0;
-  SimTime slack_total_p99 = 0.0;
   /// Server-side budget after network slack, us (the DVFS layer's target).
   SimTime effective_server_budget = 0.0;
   /// End-to-end SLA the plan was optimized against, us.
   SimTime latency_constraint = 0.0;
-  Power predicted_total_w = 0.0;
 };
 
 /// Per-arrival context handed to AdmissionPolicy::decide.
 struct AdmissionContext {
   SimTime now = 0.0;
-  /// Instantaneous offered rate from the arrival generator, queries/s.
-  double offered_rate_qps = 0.0;
   /// Queries currently fanned out in the DES.
   int inflight = 0;
   /// Queries waiting in the dispatch queue.
   int queued = 0;
-  /// Dispatch-queue capacity (admitting past it drops the oldest wait).
-  int queue_limit = 0;
   /// The harness's estimate of the sustainable service rate, queries/s
   /// (cores * hosts / mean service time at the planned frequency).
   double sustainable_rate_qps = 0.0;
@@ -60,8 +50,6 @@ struct AdmissionContext {
 /// Context for a late-shed check when a queued query is about to dispatch.
 struct ShedContext {
   SimTime now = 0.0;
-  /// When the query was admitted into the dispatch queue.
-  SimTime enqueue_time = 0.0;
   SimTime waited = 0.0;
   const PolicySnapshot* plan = nullptr;
 };
@@ -72,8 +60,6 @@ class AdmissionPolicy {
  public:
   virtual ~AdmissionPolicy() = default;
   virtual AdmissionDecision decide(const AdmissionContext& ctx) = 0;
-  /// Epoch boundary notification (refill budgets, re-read the plan, ...).
-  virtual void on_epoch(const PolicySnapshot& snapshot) { (void)snapshot; }
   virtual const char* name() const = 0;
 };
 
@@ -82,15 +68,14 @@ class ShedPolicy {
   virtual ~ShedPolicy() = default;
   /// True = drop the queued query instead of issuing it.
   virtual bool should_shed(const ShedContext& ctx) = 0;
-  virtual void on_epoch(const PolicySnapshot& snapshot) { (void)snapshot; }
   virtual const char* name() const = 0;
 };
 
 /// Tuning shared by the built-in policies (serve/policies.h); factories take
 /// the whole struct so CLI plumbing stays one flag per knob.
 struct PolicyConfig {
-  /// token-bucket: sustained admission rate, queries/s. 0 = derive from the
-  /// harness's sustainable_rate_qps each epoch.
+  /// token-bucket: sustained admission rate, queries/s. 0 = the harness's
+  /// sustainable_rate_qps.
   double bucket_rate_qps = 0.0;
   /// token-bucket: burst capacity, tokens.
   double bucket_burst = 32.0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/scenario.h"
 #include "obs/telemetry.h"
 #include "serve/policies.h"
 #include "util/log.h"
@@ -100,23 +101,14 @@ void ServingHarness::init_temporal(Rng& timed_rng) {
         config_.arrivals.diurnal, epochs, sched.epoch_seconds,
         config_.arrivals.diurnal_start / kUsPerSecond);
   }
-  if (sched.epoch_cap_mbit <= 0 && sched.epoch_cap_override.empty()) {
-    sched.epoch_cap_mbit = static_cast<long long>(
-        topo_->link_capacity() * sched.epoch_seconds * 0.5);
-  }
-  if (sched.flow_rate_cap_mbit <= 0) {
-    sched.flow_rate_cap_mbit = static_cast<long long>(
-        topo_->link_capacity() * sched.epoch_seconds * 0.4);
-  }
-  if (sched.runtime.threads <= 1) sched.runtime = config_.epoch.runtime;
+  sched = topology_scheduler_config(*topo_, config_.epoch.runtime,
+                                    std::move(sched));
 
   TimedFlowGenConfig gen = config_.temporal.gen;
   gen.epochs = epochs;
   if (gen.endpoints.num_hosts == 0) {
-    gen.endpoints.num_hosts = topo_->num_hosts();
-    gen.endpoints.link_capacity = topo_->link_capacity();
-    gen.endpoints.hosts_per_edge = topo_->hosts_per_access_switch();
-    gen.endpoints.exclude_host = config_.epoch.joint.aggregator_host;
+    gen.endpoints =
+        topology_flow_gen(*topo_, config_.epoch.joint.aggregator_host);
   }
   if (gen.mean_volume_mbit <= 0) {
     gen.mean_volume_mbit = static_cast<long long>(
@@ -144,7 +136,7 @@ void ServingHarness::emit_schedule_epoch() {
   rec.expired_mbit = schedule_->expired_mbit[e];
   rec.flows_active = schedule_->flows_active[e];
   rec.flows_completed = schedule_->flows_completed[e];
-  rec.cap_mbit = scheduler_->epoch_cap(epoch_index_);
+  rec.cap_mbit = scheduler_->config().epoch_cap_mbit;
   rec.cost_level = scheduler_->epoch_cost(epoch_index_);
   rec.demand_mbps = schedule_->demand_mbps(epoch_index_);
   obs::JsonlWriter* sink =
@@ -155,10 +147,8 @@ void ServingHarness::emit_schedule_epoch() {
 AdmissionContext ServingHarness::admission_context(SimTime now) const {
   AdmissionContext ctx;
   ctx.now = now;
-  ctx.offered_rate_qps = arrivals_->rate_at(now) * kUsPerSecond;
   ctx.inflight = static_cast<int>(des_->inflight());
   ctx.queued = static_cast<int>(dispatch_queue_.size());
-  ctx.queue_limit = config_.queue_limit;
   ctx.sustainable_rate_qps = sustainable_rate_qps_;
   ctx.plan = &snapshot_;
   return ctx;
@@ -233,17 +223,10 @@ void ServingHarness::begin_epoch() {
   network_power_w_ = report.network_power;
   emit_schedule_epoch();
 
-  snapshot_.epoch = epoch_index_;
   snapshot_.have_plan = true;
   snapshot_.feasible = plan.feasible;
-  snapshot_.chosen_k = plan.k;
-  snapshot_.slack_total_p95 = report.slack_total_p95;
-  snapshot_.slack_total_p99 = report.slack_total_p99;
   snapshot_.effective_server_budget = plan.effective_server_budget;
   snapshot_.latency_constraint = config_.epoch.joint.latency_constraint;
-  snapshot_.predicted_total_w = report.predicted_total;
-  admission_->on_epoch(snapshot_);
-  shed_->on_epoch(snapshot_);
   // Deadline budgets of every fan-out until the next epoch.
   server_budget_ = plan.effective_server_budget > 0.0
                        ? plan.effective_server_budget
@@ -304,7 +287,6 @@ void ServingHarness::drain_dispatch_queue() {
     dispatch_queue_.pop_front();
     ShedContext ctx;
     ctx.now = now;
-    ctx.enqueue_time = enqueued;
     ctx.waited = now - enqueued;
     ctx.plan = &snapshot_;
     if (shed_->should_shed(ctx)) {

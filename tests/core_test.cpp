@@ -78,17 +78,21 @@ TEST(SlackEstimator, LoadedPathSlowerThanIdle) {
   const auto placement = greedy.consolidate(flows, config);
   ASSERT_TRUE(placement.feasible);
 
+  const SlackEstimator estimator(SlackEstimatorConfig{});
+  const std::vector<FlowId> requests = {req};
+  const std::vector<FlowId> replies = {rep};
+
   // Idle network.
   LinkUtilization idle(&topo.graph());
-  const SlackEstimate idle_est = estimate_network_slack(
-      topo.graph(), placement, idle, {req}, {rep}, SlackEstimatorConfig{});
+  const SlackEstimate idle_est =
+      estimator.estimate({&placement, &idle, &requests, &replies});
 
   // Same paths with a hot elephant on them.
   LinkUtilization hot(&topo.graph());
   hot.add_path_load(placement.flow_paths[static_cast<std::size_t>(req)], 940.0);
   hot.add_path_load(placement.flow_paths[static_cast<std::size_t>(rep)], 940.0);
-  const SlackEstimate hot_est = estimate_network_slack(
-      topo.graph(), placement, hot, {req}, {rep}, SlackEstimatorConfig{});
+  const SlackEstimate hot_est =
+      estimator.estimate({&placement, &hot, &requests, &replies});
 
   EXPECT_GT(hot_est.total_p95, idle_est.total_p95);
   EXPECT_GT(idle_est.total_p95, 0.0);
@@ -99,8 +103,10 @@ TEST(SlackEstimator, UnroutedFlowsSkippedGracefully) {
   const FatTree topo(4);
   ConsolidationResult placement;  // nothing routed
   LinkUtilization load(&topo.graph());
-  const SlackEstimate est = estimate_network_slack(
-      topo.graph(), placement, load, {0}, {1}, SlackEstimatorConfig{});
+  const std::vector<FlowId> requests = {0};
+  const std::vector<FlowId> replies = {1};
+  const SlackEstimate est = SlackEstimator(SlackEstimatorConfig{}).estimate(
+      {&placement, &load, &requests, &replies});
   EXPECT_DOUBLE_EQ(est.total_p95, 0.0);
 }
 

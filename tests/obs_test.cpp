@@ -1,9 +1,11 @@
 // Tests for the observability subsystem: metrics registry semantics,
 // deterministic shard merging under varying thread counts, Chrome
-// trace-event JSON validity, and per-epoch JSONL round-trips.
+// trace-event JSON validity, per-epoch JSONL round-trips, and the record
+// schema committed for tools/eprons_report.py.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -412,6 +414,20 @@ TEST(EpochJsonl, WriterStreamsOneLinePerRecord) {
     ++lines;
   }
   EXPECT_EQ(lines, 3u);
+}
+
+// tools/record_schema.json is exactly what the record declarations print.
+// On drift the fresh schema lands in the build tree; copy it over the
+// committed file when the record change is intended.
+TEST(RecordSchema, CommittedFileMatchesDeclarations) {
+  std::ostringstream committed;
+  committed << std::ifstream(EPRONS_RECORD_SCHEMA).rdbuf();
+  const std::string fresh = record_schema_json();
+  if (committed.str() != fresh) {
+    std::ofstream(EPRONS_RECORD_SCHEMA_OUT) << fresh;
+    ADD_FAILURE() << EPRONS_RECORD_SCHEMA << " is stale; the declarations "
+                  << "print the schema now in " << EPRONS_RECORD_SCHEMA_OUT;
+  }
 }
 
 }  // namespace

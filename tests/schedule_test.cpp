@@ -103,7 +103,8 @@ void check_schedule_valid(const Instance& inst,
     missed += schedule.missed_mbit[f];
   }
   for (int e = 0; e < epochs; ++e) {
-    EXPECT_LE(epoch_load[static_cast<std::size_t>(e)], scheduler.epoch_cap(e))
+    EXPECT_LE(epoch_load[static_cast<std::size_t>(e)],
+              scheduler.config().epoch_cap_mbit)
         << "epoch " << e;
     EXPECT_EQ(epoch_load[static_cast<std::size_t>(e)],
               schedule.carried_mbit[static_cast<std::size_t>(e)])

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Turn EPRONS run artifacts (epoch JSONL + optional metrics snapshots)
-into a markdown/JSON report, and verify the attribution ledger invariants.
+into a markdown/JSON report, and verify every logged record.
 
 A *run* is either a JSONL file produced via `--epoch-log=FILE`, or a run
 directory produced by tools/sweep.py (containing `epoch.jsonl` and
@@ -19,23 +19,14 @@ latency budget split and p50/p95/p99 from metrics histograms, the
 planner's chosen-K/path/reject statistics, the fault-recovery timeline,
 and a cross-run diff table when several runs are given.
 
-For serving runs, `--check` also enforces each window's conservation
-invariant exactly: arrivals == admitted + shed + dropped (integer
-counts, decided at arrival time — late sheds are tracked separately),
-plus p50 <= p95 <= p99 ordering and count sanity.
-
-For temporal-scheduling runs (schedule/temporal_scheduler.h), `--check`
-re-verifies the schedule's integer-Mbit conservation exactly:
-carried_total_mbit + missed_total_mbit == total_volume_mbit in every
-schedule_summary, and the per-epoch schedule_epoch carried/expired
-columns re-sum to the summary totals (plain ints, `==`, no epsilon).
-
-`--check` verifies the ledger's bit-exactness contract (obs/attribution.h):
-the C++ producers *define* every headline total as a fixed-order sum of
-the components emitted next to it, the %.17g JSON encoding round-trips
-doubles exactly, and Python floats are the same IEEE doubles — so the
-re-computed sums here must equal the recorded totals *exactly* (`==`, no
-epsilon). Any mismatch is a real producer bug, and the script exits 1.
+`--check` reads tools/record_schema.json, which the C++ record
+declarations print (obs/jsonl.h), and checks each record of each declared
+source: its fields, in order, with their JSON types, and its identities.
+Sums are re-added in the declared order and compared with `==`: the %.17g
+encoding round-trips doubles exactly and Python floats are the same IEEE
+doubles, so any mismatch is a real producer bug. A few rules no single
+record expresses are checked by hand (see handwritten_errors). Any
+violation, or a log with no attribution or plan_explain records, exits 1.
 
 Stdlib only — no pip installs.
 
@@ -43,7 +34,11 @@ Stdlib only — no pip installs.
     python3 tools/eprons_report.py runs/t1 runs/t4 runs/t8 --check
 """
 import argparse
+import collections
+import functools
 import json
+import operator
+import re
 import sys
 from pathlib import Path
 
@@ -90,165 +85,93 @@ def load_run(path):
 # ---------------------------------------------------------------------------
 # Invariant checks (exact float equality — see module docstring).
 
-def check_attribution(rec, where):
+SCHEMA = json.loads((Path(__file__).with_name("record_schema.json"))
+                    .read_text())["records"]
+# Exact Python types per JSON type (`type`, not isinstance: bool is an int).
+JSON_TYPES = {"string": {str}, "integer": {int}, "number": {int, float},
+              "boolean": {bool}}
+RELATIONS = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
+
+
+def field_errors(rec, fields, where):
+    """The record's fields are the schema's, in order, with their types;
+    a list-valued type is an array of rows with that row table."""
+    if list(rec) != list(fields):
+        return [f"{where}: fields {list(rec)} are not the schema's "
+                f"{list(fields)}"]
     errors = []
-    need = ["edge_w", "agg_w", "core_w", "link_w", "network_total_w",
-            "server_idle_w", "server_dynamic_w", "server_dvfs_residual_w",
-            "server_total_w", "total_w"]
-    missing = [f for f in need if rec.get(f) is None]
-    if missing:
-        return [f"{where}: missing/null fields {missing}"]
-    net = ((rec["edge_w"] + rec["agg_w"]) + rec["core_w"]) + rec["link_w"]
-    if net != rec["network_total_w"]:
-        errors.append(f"{where}: network components sum to {net!r}, total "
-                      f"is {rec['network_total_w']!r}")
-    srv = (rec["server_idle_w"] + rec["server_dynamic_w"]) \
-        + rec["server_dvfs_residual_w"]
-    if srv != rec["server_total_w"]:
-        errors.append(f"{where}: server components sum to {srv!r}, total "
-                      f"is {rec['server_total_w']!r}")
-    total = rec["network_total_w"] + rec["server_total_w"]
-    if total != rec["total_w"]:
-        errors.append(f"{where}: network+server is {total!r}, total_w is "
-                      f"{rec['total_w']!r}")
-    switches = (rec.get("edge_switches", 0) + rec.get("agg_switches", 0)
-                + rec.get("core_switches", 0))
-    if rec.get("linger_switches", 0) > switches:
-        errors.append(f"{where}: linger_switches exceeds active switches")
+    for name, kind in fields.items():
+        value = rec[name]
+        if isinstance(kind, list) and type(value) is list:
+            for i, row in enumerate(value):
+                errors += field_errors(row, kind[0], f"{where} {name}[{i}]")
+        elif isinstance(kind, list) or type(value) not in JSON_TYPES[kind]:
+            errors.append(f"{where}: {name}={value!r} is not {kind}")
     return errors
 
 
-def check_plan_explain(rec, where):
+def identity_errors(rec, identity, where):
+    """`0 <= a, b <= c + d`: an operand is 0, a field, a sum re-added left
+    to right, or a list `a, b` standing for each member. Every member of
+    adjacent operands must satisfy their relation exactly."""
+    parts = re.split(r" (==|<=|<) ", identity)
+    sides = [[functools.reduce(operator.add, (0 if term == "0" else rec[term]
+                                              for term in member.split(" + ")))
+              for member in side.split(", ")] for side in parts[::2]]
+    if all(RELATIONS[op](a, b) for left, op, right
+           in zip(sides, parts[1::2], sides[1:]) for a in left for b in right):
+        return []
+    return [f"{where}: {identity} fails with operands {sides!r}"]
+
+
+def handwritten_errors(run):
+    """The rules no single record's identities express."""
     errors = []
-    if rec.get("chosen_k") is None:
-        errors.append(f"{where}: plan_explain without chosen_k")
-    candidates = rec.get("candidates", [])
-    if not candidates:
-        errors.append(f"{where}: plan_explain with empty candidate table")
-    for c in candidates:
-        if not c.get("feasible") and not c.get("reject_reason"):
-            errors.append(f"{where}: rejected candidate K={c.get('k')} "
-                          f"carries no reject_reason")
-        if c.get("feasible") and c.get("reject_reason"):
-            errors.append(f"{where}: feasible candidate K={c.get('k')} "
-                          f"carries reject_reason "
-                          f"{c.get('reject_reason')!r}")
-    if rec.get("path") not in ("cold", "warm", "cache_hit"):
-        errors.append(f"{where}: unknown plan path {rec.get('path')!r}")
-    return errors
-
-
-def check_serving_window(rec, where):
-    errors = []
-    need = ["arrivals", "admitted", "shed", "dropped", "late_shed",
-            "completed", "subqueries", "sla_misses"]
-    missing = [f for f in need if rec.get(f) is None]
-    if missing:
-        return [f"{where}: missing/null fields {missing}"]
-    # Conservation is exact by construction (arrival-time classification):
-    # integer counts, no epsilon.
-    total = rec["admitted"] + rec["shed"] + rec["dropped"]
-    if total != rec["arrivals"]:
-        errors.append(f"{where}: admitted+shed+dropped is {total}, "
-                      f"arrivals is {rec['arrivals']}")
-    for f in need:
-        if rec[f] < 0:
-            errors.append(f"{where}: negative count {f}={rec[f]}")
-    if rec["sla_misses"] > rec["subqueries"]:
-        errors.append(f"{where}: sla_misses {rec['sla_misses']} exceeds "
-                      f"subqueries {rec['subqueries']}")
-    p50 = rec.get("latency_p50_us") or 0.0
-    p95 = rec.get("latency_p95_us") or 0.0
-    p99 = rec.get("latency_p99_us") or 0.0
-    if not (p50 <= p95 <= p99):
-        errors.append(f"{where}: latency percentiles out of order "
-                      f"({p50!r}, {p95!r}, {p99!r})")
-    if (rec.get("window_end_us") or 0.0) <= (rec.get("window_start_us")
-                                             or 0.0):
-        errors.append(f"{where}: empty or inverted window span")
-    return errors
-
-
-def check_schedule_summary(rec, where):
-    errors = []
-    need = ["epochs", "flows", "carried_total_mbit", "missed_total_mbit",
-            "total_volume_mbit", "deadline_misses", "deferred_mbit_epochs"]
-    missing = [f for f in need if rec.get(f) is None]
-    if missing:
-        return [f"{where}: missing/null fields {missing}"]
-    # Integer-Mbit conservation is exact by construction (the C++ producer
-    # DEFINES total_volume_mbit as carried + missed — flow/timed_flow.h).
-    total = rec["carried_total_mbit"] + rec["missed_total_mbit"]
-    if total != rec["total_volume_mbit"]:
-        errors.append(f"{where}: carried+missed is {total}, "
-                      f"total_volume_mbit is {rec['total_volume_mbit']}")
-    for f in need:
-        if rec[f] < 0:
-            errors.append(f"{where}: negative count {f}={rec[f]}")
-    if rec["deadline_misses"] > rec["flows"]:
-        errors.append(f"{where}: deadline_misses {rec['deadline_misses']} "
-                      f"exceeds flows {rec['flows']}")
-    if rec["missed_total_mbit"] > 0 and rec["deadline_misses"] == 0:
-        errors.append(f"{where}: missed volume with zero deadline_misses")
-    return errors
-
-
-def check_schedule_epochs(run, where):
-    """Per-epoch schedule_epoch columns must re-sum to the summary totals.
-
-    Only applies when the run holds exactly one schedule (one summary):
-    with several schedules interleaved the per-epoch rows can't be
-    re-attributed to their summary from the stream alone.
-    """
-    epochs = run["by_source"].get("schedule_epoch", [])
+    for i, rec in enumerate(run["by_source"].get("plan_explain", [])):
+        where = f"{run['path']} plan_explain[{i}]"
+        if rec["path"] not in ("cold", "warm", "cache_hit"):
+            errors.append(f"{where}: unknown plan path {rec['path']!r}")
+        if not rec["candidates"]:
+            errors.append(f"{where}: plan_explain with empty candidate table")
+        for c in rec["candidates"]:
+            if c["feasible"] == bool(c["reject_reason"]):
+                errors.append(f"{where}: candidate K={c['k']} feasible="
+                              f"{c['feasible']} with reject_reason "
+                              f"{c['reject_reason']!r}")
     summaries = run["by_source"].get("schedule_summary", [])
-    errors = []
-    for i, rec in enumerate(epochs):
-        ew = f"{where} schedule_epoch[{i}]"
-        for f in ("carried_mbit", "backlog_mbit", "expired_mbit",
-                  "flows_active", "flows_completed"):
-            if rec.get(f) is None:
-                errors.append(f"{ew}: missing/null field {f}")
-            elif rec[f] < 0:
-                errors.append(f"{ew}: negative count {f}={rec[f]}")
-        cap = rec.get("cap_mbit")
-        if cap and rec.get("carried_mbit") is not None \
-                and rec["carried_mbit"] > cap:
-            errors.append(f"{ew}: carried_mbit {rec['carried_mbit']} "
-                          f"exceeds cap_mbit {cap}")
-    if len(summaries) != 1 or not epochs or errors:
+    for i, rec in enumerate(summaries):
+        if rec["missed_total_mbit"] > 0 and rec["deadline_misses"] == 0:
+            errors.append(f"{run['path']} schedule_summary[{i}]: missed "
+                          "volume with zero deadline_misses")
+    # With several schedules interleaved, epoch rows can't be attributed
+    # to their summary from the stream alone.
+    epochs = run["by_source"].get("schedule_epoch", [])
+    if len(summaries) != 1 or not epochs:
         return errors
     summary = summaries[0]
-    carried = sum(r["carried_mbit"] for r in epochs)
-    if carried != summary.get("carried_total_mbit"):
-        errors.append(f"{where}: schedule_epoch carried_mbit sums to "
-                      f"{carried}, summary carried_total_mbit is "
-                      f"{summary.get('carried_total_mbit')}")
-    expired = sum(r["expired_mbit"] for r in epochs)
-    if expired != summary.get("missed_total_mbit"):
-        errors.append(f"{where}: schedule_epoch expired_mbit sums to "
-                      f"{expired}, summary missed_total_mbit is "
-                      f"{summary.get('missed_total_mbit')}")
-    if len(epochs) != summary.get("epochs"):
-        errors.append(f"{where}: {len(epochs)} schedule_epoch records, "
-                      f"summary says {summary.get('epochs')} epochs")
+    for column, total in (("carried_mbit", "carried_total_mbit"),
+                          ("expired_mbit", "missed_total_mbit")):
+        resum = sum(r[column] for r in epochs)
+        if resum != summary[total]:
+            errors.append(f"{run['path']}: schedule_epoch {column} sums to "
+                          f"{resum}, summary {total} is {summary[total]}")
+    if len(epochs) != summary["epochs"]:
+        errors.append(f"{run['path']}: {len(epochs)} schedule_epoch "
+                      f"records, summary says {summary['epochs']} epochs")
     return errors
 
 
 def check_run(run):
     errors = []
-    for i, rec in enumerate(run["by_source"].get("attribution", [])):
-        errors += check_attribution(rec, f"{run['path']} attribution[{i}]")
-    for i, rec in enumerate(run["by_source"].get("plan_explain", [])):
-        errors += check_plan_explain(rec, f"{run['path']} plan_explain[{i}]")
-    for i, rec in enumerate(run["by_source"].get("serving_window", [])):
-        errors += check_serving_window(
-            rec, f"{run['path']} serving_window[{i}]")
-    for i, rec in enumerate(run["by_source"].get("schedule_summary", [])):
-        errors += check_schedule_summary(
-            rec, f"{run['path']} schedule_summary[{i}]")
-    errors += check_schedule_epochs(run, run["path"])
-    return errors
+    for decl in SCHEMA:
+        for source in decl["sources"]:
+            for i, rec in enumerate(run["by_source"].get(source, [])):
+                where = f"{run['path']} {source}[{i}]"
+                errors += field_errors(rec, decl["fields"], where) or [
+                    error for identity in decl["identities"]
+                    for error in identity_errors(rec, identity, where)]
+    # Hand-written rules read fields the schema pass has type-checked.
+    return errors or handwritten_errors(run)
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +560,9 @@ def main():
                         help="directory for report.md/report.json "
                              "(default: print markdown to stdout)")
     parser.add_argument("--check", action="store_true",
-                        help="verify attribution/plan-explain invariants; "
-                             "exit 1 on any violation")
+                        help="verify every record against "
+                             "tools/record_schema.json; exit 1 on any "
+                             "violation")
     args = parser.parse_args()
 
     summaries = []
@@ -664,22 +588,16 @@ def main():
             print(f"invariant check FAILED: {total_errors} violations",
                   file=sys.stderr)
             return 1
-        atts = sum(s["sources"].get("attribution", 0) for s in summaries)
-        plans = sum(s["sources"].get("plan_explain", 0) for s in summaries)
-        if atts == 0 or plans == 0:
+        counts = collections.Counter()
+        for s in summaries:
+            counts.update(s["sources"])
+        if not counts["attribution"] or not counts["plan_explain"]:
             print("invariant check FAILED: no attribution/plan_explain "
                   "records found (nothing was verified)", file=sys.stderr)
             return 1
-        serving = sum(s["sources"].get("serving_window", 0)
-                      for s in summaries)
-        schedules = sum(s["sources"].get("schedule_summary", 0)
-                        for s in summaries)
-        print(f"invariant check passed: {atts} attribution and {plans} "
-              f"plan_explain records verified bit-exact"
-              + (f"; {serving} serving windows conserved exactly"
-                 if serving else "")
-              + (f"; {schedules} temporal schedules conserved exactly"
-                 if schedules else ""))
+        print("invariant check passed: " + ", ".join(
+            f"{counts[source]} {source}" for decl in SCHEMA
+            for source in decl["sources"] if counts[source]) + " records")
     return 0
 
 

@@ -22,11 +22,12 @@ Freq RubikPolicy::select_frequency(SimTime now,
                                    std::span<const QueuedRequest> queue,
                                    Work in_service_done) {
   const EquivalentQueue equivalents(model_, queue.size(), in_service_done);
-  // Feasible(f): every equivalent request meets the per-request miss budget.
-  auto feasible = [&](Freq f) {
+  // Feasible(fi): every equivalent request meets the per-request miss
+  // budget at grid frequency fi.
+  auto feasible = [&](std::size_t fi) {
     for (std::size_t i = 0; i < queue.size(); ++i) {
-      const double vp = model_->violation_probability(
-          equivalents.at(i), now, deadline_of(queue[i]), f);
+      const double vp = model_->violation_probability_at(
+          equivalents.at(i), now, deadline_of(queue[i]), fi);
       if (vp > config_.target_vp) return false;
     }
     return true;
@@ -55,21 +56,22 @@ Freq EpronsServerPolicy::select_frequency(SimTime now,
                                           std::span<const QueuedRequest> queue,
                                           Work in_service_done) {
   const EquivalentQueue equivalents(model_, queue.size(), in_service_done);
-  // Feasible(f): the *average* VP across the queue meets the SLA miss
-  // budget (section III-A); individual requests may exceed it. The
-  // `average_vp=false` ablation reverts to Rubik's max-VP rule.
-  auto feasible = [&](Freq f) {
+  // Feasible(fi): the *average* VP across the queue meets the SLA miss
+  // budget at grid frequency fi (section III-A); individual requests may
+  // exceed it. The `average_vp=false` ablation reverts to Rubik's max-VP
+  // rule.
+  auto feasible = [&](std::size_t fi) {
     if (features_.average_vp) {
       double total = 0.0;
       for (std::size_t i = 0; i < queue.size(); ++i) {
-        total += model_->violation_probability(equivalents.at(i), now,
-                                               deadline_of(queue[i]), f);
+        total += model_->violation_probability_at(equivalents.at(i), now,
+                                                  deadline_of(queue[i]), fi);
       }
       return total <= config_.target_vp * static_cast<double>(queue.size());
     }
     for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (model_->violation_probability(equivalents.at(i), now,
-                                        deadline_of(queue[i]), f) >
+      if (model_->violation_probability_at(equivalents.at(i), now,
+                                           deadline_of(queue[i]), fi) >
           config_.target_vp) {
         return false;
       }

@@ -147,19 +147,20 @@ class TimeTraderPolicy final : public DvfsPolicy {
 };
 
 /// Shared selection helper: smallest grid frequency satisfying a monotone
-/// predicate (true at f_max implies true for all higher frequencies);
-/// returns f_max when even it fails. Binary search per section III-C. The
-/// predicate is a template parameter, so a decision neither allocates nor
-/// calls through a type-erased wrapper.
+/// predicate over grid indices (true at an index implies true at every
+/// higher one); returns f_max when even it fails. Binary search per section
+/// III-C. The predicate takes the index so it can read per-frequency caches
+/// (ServiceModel::violation_probability_at), and is a template parameter,
+/// so a decision neither allocates nor calls through a type-erased wrapper.
 template <typename Feasible>
 Freq lowest_feasible_frequency(const std::vector<Freq>& grid,
                                Feasible&& feasible) {
-  if (!feasible(grid.back())) return grid.back();
+  if (!feasible(grid.size() - 1)) return grid.back();
   std::size_t lo = 0;
   std::size_t hi = grid.size() - 1;  // known feasible
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (feasible(grid[mid])) {
+    if (feasible(mid)) {
       hi = mid;
     } else {
       lo = mid + 1;

@@ -6,6 +6,15 @@
 
 namespace eprons {
 
+namespace {
+
+/// us per cycle at frequency f: t = W * ((1-mu)/f + mu/f_max) / 1000.
+double per_cycle_us(double mu, Freq f, Freq f_max) {
+  return ((1.0 - mu) / f + mu / f_max) / kCyclesPerUsPerGHz;
+}
+
+}  // namespace
+
 ServiceModel::ServiceModel(DiscreteDistribution work, ServiceModelConfig config)
     : work_(std::move(work)), config_(config) {
   if (config_.f_min <= 0.0 || config_.f_max <= config_.f_min) {
@@ -19,6 +28,7 @@ ServiceModel::ServiceModel(DiscreteDistribution work, ServiceModelConfig config)
       std::round((config_.f_max - config_.f_min) / config_.freq_step));
   for (int i = 0; i <= steps; ++i) {
     grid_.push_back(std::min(config_.f_max, config_.f_min + config_.freq_step * i));
+    per_cycle_us_.push_back(per_cycle_us(mu, grid_.back(), config_.f_max));
   }
   conv_cache_.push_back(work_.truncated(config_.truncate_eps));
 }
@@ -31,11 +41,8 @@ SimTime ServiceModel::service_time(Work work, Freq f) const {
 
 Work ServiceModel::work_capacity(SimTime duration, Freq f) const {
   if (duration <= 0.0) return 0.0;
-  const double mu = config_.freq_independent_fraction;
-  // Invert t = W * ((1-mu)/f + mu/f_max) / 1000.
-  const double per_cycle_us =
-      ((1.0 - mu) / f + mu / config_.f_max) / kCyclesPerUsPerGHz;
-  return duration / per_cycle_us;
+  return duration /
+         per_cycle_us(config_.freq_independent_fraction, f, config_.f_max);
 }
 
 SimTime ServiceModel::mean_service_time(Freq f) const {

@@ -66,6 +66,16 @@ class ServiceModel {
   double violation_probability(const DiscreteDistribution& equivalent,
                                SimTime now, SimTime deadline, Freq f) const;
 
+  /// violation_probability at grid frequency `freq_index`, bit for bit:
+  /// the cycle cost is cached per grid frequency from the expression
+  /// work_capacity evaluates, and dividing by it stays a division.
+  double violation_probability_at(const DiscreteDistribution& equivalent,
+                                  SimTime now, SimTime deadline,
+                                  std::size_t freq_index) const {
+    if (deadline <= now) return 1.0;
+    return equivalent.ccdf((deadline - now) / per_cycle_us_[freq_index]);
+  }
+
   /// Work distribution of `count` fresh queued requests back to back
   /// (count >= 1). Cached; growing the cache is thread-unsafe by design
   /// (one model per core policy in the DES). Shared read-side callers —
@@ -91,6 +101,7 @@ class ServiceModel {
   DiscreteDistribution work_;
   ServiceModelConfig config_;
   std::vector<Freq> grid_;
+  std::vector<double> per_cycle_us_;  // per grid frequency, us per cycle
   mutable std::vector<DiscreteDistribution> conv_cache_;  // [k-1] = work^(*k)
   // [log2 n] = work spectrum at transform size n (empty until used); a
   // fixed array so growing one size never moves another.

@@ -15,16 +15,6 @@ VpTable::VpTable(const ServiceModel* model, std::size_t max_depth)
     // reallocate if someone later asks the model for a deeper convolution.
     equivalents_.push_back(model_->fresh_convolution(depth));
   }
-  // The exact per-cycle cost expression from ServiceModel::work_capacity,
-  // cached per grid frequency. Keeping the later budget / per_cycle_us as
-  // a division (not a reciprocal multiply) preserves bit-equality with the
-  // reference path.
-  const double mu = model_->config().freq_independent_fraction;
-  per_cycle_us_.reserve(model_->frequency_grid().size());
-  for (Freq f : model_->frequency_grid()) {
-    per_cycle_us_.push_back(
-        ((1.0 - mu) / f + mu / model_->config().f_max) / kCyclesPerUsPerGHz);
-  }
 }
 
 }  // namespace eprons

@@ -7,17 +7,16 @@
 // convolution cache — per-decision FFT convolutions from a mutable,
 // lock-free cache that parallel K sweeps could race on. A VpTable runs all
 // the batch convolutions (stats/fft) once, eagerly and serially — work^(*1)
-// .. work^(*max_depth) — and caches the per-grid-frequency cycle cost, so a
-// planner decision is one CCDF interpolation per probed frequency, and the
-// shared table is strictly read-only afterwards.
+// .. work^(*max_depth) — so a planner decision is one CCDF interpolation per
+// probed frequency (at the model's cached per-grid-frequency cycle cost),
+// and the shared table is strictly read-only afterwards.
 //
 // Bit-exactness contract: violation_probability(d, budget, fi) returns the
 // same double as
 //   model.violation_probability(model.fresh_convolution(d), 0, budget,
 //                               model.frequency_grid()[fi])
-// — the cycle cost is cached from the identical expression work_capacity()
-// evaluates (the division by it stays a division), and the stored
-// distributions are copies of the model's own convolutions.
+// — it is ServiceModel::violation_probability_at, which carries that
+// contract itself, over copies of the model's own convolutions.
 #pragma once
 
 #include <cstddef>
@@ -52,14 +51,13 @@ class VpTable {
   /// frequency index `freq_index`]; 1.0 for a non-positive budget.
   double violation_probability(std::size_t depth, SimTime budget,
                                std::size_t freq_index) const {
-    if (budget <= 0.0) return 1.0;
-    return equivalents_[depth - 1].ccdf(budget / per_cycle_us_[freq_index]);
+    return model_->violation_probability_at(equivalents_[depth - 1], 0.0,
+                                            budget, freq_index);
   }
 
  private:
   const ServiceModel* model_;
   std::vector<DiscreteDistribution> equivalents_;  // [d-1] = work^(*d)
-  std::vector<double> per_cycle_us_;  // per grid frequency, us per cycle
 };
 
 }  // namespace eprons

@@ -449,6 +449,7 @@ ServingReport ServingHarness::run() {
   serve_shed.add(static_cast<std::uint64_t>(report_.shed));
   serve_dropped.add(static_cast<std::uint64_t>(report_.dropped));
   serve_completed.add(static_cast<std::uint64_t>(report_.completed));
+  des_->report_clamps();
   return report_;
 }
 

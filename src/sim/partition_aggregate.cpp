@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "dvfs/policies.h"
+#include "obs/telemetry.h"
 
 namespace eprons {
 
@@ -200,15 +201,10 @@ void PartitionAggregate::on_server_complete(
 
   if (feedback_) report_feedback(isn, query, now, reply_arrival, net_total);
 
-  if (config_.leg_times) {
-    const SimTime server_time = now - completion.request.meta.arrival;
-    events_.schedule(reply_arrival, [this, query, net_total, server_time] {
-      subquery_done(query, SubqueryDone{net_total, server_time, false});
-    });
-  } else {
-    events_.schedule(reply_arrival,
-                     [this, query] { subquery_done(query, SubqueryDone{}); });
-  }
+  const SimTime server_time = now - completion.request.meta.arrival;
+  events_.schedule(reply_arrival, [this, query, net_total, server_time] {
+    subquery_done(query, SubqueryDone{net_total, server_time, false});
+  });
 }
 
 void PartitionAggregate::report_feedback(int isn, RequestId query,
@@ -249,6 +245,14 @@ void PartitionAggregate::subquery_done(RequestId query,
   const PendingQuery finished = entry->second;
   inflight_.erase(entry);
   listener_->on_query_done(finished);
+}
+
+void PartitionAggregate::report_clamps() const {
+  // The counter is created on the first clamp, so a clean run's metrics
+  // snapshot carries no such key.
+  if (events_.clamped() == 0) return;
+  static obs::Counter& clamped = obs::metrics().counter("sim.clamped_events");
+  clamped.add(events_.clamped());
 }
 
 std::size_t PartitionAggregate::charge_inflight(SimTime penalty) {

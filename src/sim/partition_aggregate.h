@@ -77,10 +77,6 @@ struct PartitionAggregateConfig {
   /// Optional fault timeline (generate_fault_schedule); must outlive the
   /// core. Null or empty = healthy run.
   const std::vector<FaultTransition>* fault_timeline = nullptr;
-  /// Hand each reply's network and server time to on_subquery_done. Off,
-  /// the reply event stays small enough that scheduling it does not
-  /// allocate.
-  bool leg_times = false;
 };
 
 class PartitionAggregate {
@@ -93,7 +89,7 @@ class PartitionAggregate {
   };
   struct SubqueryDone {
     /// Request + reply network time (incast included) and server residence
-    /// time, us. Set only with leg_times, and 0 for a dropped sub-query.
+    /// time, us; 0 for a dropped sub-query.
     SimTime net_total = 0.0;
     SimTime server_time = 0.0;
     /// No surviving path: charged the drop timeout instead of served.
@@ -143,6 +139,10 @@ class PartitionAggregate {
   std::size_t charge_inflight(SimTime penalty);
 
   EventQueue& events() { return events_; }
+  /// Adds the run's schedules into the past beyond round-off
+  /// (EventQueue::clamped) to the sim.clamped_events counter. Drivers call
+  /// it once, at the end of a run.
+  void report_clamps() const;
   /// The sampling stream; the closed-loop driver draws its arrival gaps
   /// from it too.
   Rng& rng() { return rng_; }

@@ -24,7 +24,6 @@ PartitionAggregateConfig core_config(const SearchClusterConfig& config,
   core.latency_constraint = config.latency_constraint;
   core.network_budget = config.latency_constraint - config.server_budget;
   core.fault_timeline = inputs.fault_timeline;
-  core.leg_times = true;
   return core;
 }
 
@@ -161,6 +160,7 @@ ClusterMetrics SearchCluster::run() {
   sim_subqueries.add(static_cast<std::uint64_t>(subqueries_done_));
   sim_query_misses.add(static_cast<std::uint64_t>(query_misses_));
   sim_subquery_misses.add(static_cast<std::uint64_t>(subquery_misses_));
+  des_.report_clamps();
   if (des_.replays_faults()) {
     static obs::Counter& sim_rerouted =
         obs::metrics().counter("fault.flows_rerouted");

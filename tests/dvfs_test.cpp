@@ -369,16 +369,101 @@ TEST(LowestFeasibleFrequency, BinarySearchMatchesLinearScan) {
   for (int trial = 0; trial < 50; ++trial) {
     // Random monotone predicate: feasible above a random threshold.
     const double threshold = rng.uniform(1.0, 3.0);
-    auto feasible = [&](Freq f) { return f >= threshold; };
+    auto feasible = [&](std::size_t fi) { return grid[fi] >= threshold; };
     const Freq got = lowest_feasible_frequency(grid, feasible);
     Freq expect = grid.back();
-    for (Freq f : grid) {
-      if (feasible(f)) {
-        expect = f;
+    for (std::size_t fi = 0; fi < grid.size(); ++fi) {
+      if (feasible(fi)) {
+        expect = grid[fi];
         break;
       }
     }
     EXPECT_DOUBLE_EQ(got, expect) << "threshold " << threshold;
+  }
+}
+
+// The frequency-valued search the policies ran before the cycle cost was
+// cached per grid index: every probe evaluates violation_probability at the
+// frequency itself. Kept as the oracle for the index-valued search.
+Freq reference_select(const std::string& name, const ServiceModel& model,
+                      SimTime now, std::span<const QueuedRequest> queue,
+                      Work in_service_done, double target_vp) {
+  const bool eprons = name.rfind("eprons", 0) == 0;
+  // "max", and "timetrader" before any feedback: f_max.
+  if (!eprons && name.rfind("rubik", 0) != 0) return model.config().f_max;
+  const bool slack = name != "rubik" && name != "eprons-noslack";
+  const bool average = eprons && name != "eprons-maxvp";
+  const EquivalentQueue equivalents(&model, queue.size(), in_service_done);
+  auto vp = [&](std::size_t i, Freq f) {
+    const SimTime deadline =
+        slack ? queue[i].deadline_with_slack : queue[i].deadline_server;
+    return model.violation_probability(equivalents.at(i), now, deadline, f);
+  };
+  auto feasible = [&](Freq f) {
+    if (average) {
+      double total = 0.0;
+      for (std::size_t i = 0; i < queue.size(); ++i) total += vp(i, f);
+      return total <= target_vp * static_cast<double>(queue.size());
+    }
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      if (vp(i, f) > target_vp) return false;
+    }
+    return true;
+  };
+  const std::vector<Freq>& grid = model.frequency_grid();
+  if (!feasible(grid.back())) return grid.back();
+  std::size_t lo = 0;
+  std::size_t hi = grid.size() - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (feasible(grid[mid])) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return grid[lo];
+}
+
+TEST(LowestFeasibleFrequency, IndexedSearchMatchesFrequencyValuedSearch) {
+  // Seeded random queues at departure instants (fresh head, even trials)
+  // and arrival instants (head partly served, odd trials), deadlines from
+  // already passed to far off: every policy picks the oracle's frequency,
+  // and every per-request VP at every grid index matches bit for bit.
+  const ServiceModel model = test_model();
+  const auto& grid = model.frequency_grid();
+  constexpr double kTargetVp = 0.05;
+  Rng rng(2024);
+  for (const char* name :
+       {"max", "rubik", "rubik+", "eprons", "timetrader", "eprons-noedf",
+        "eprons-noslack", "eprons-maxvp"}) {
+    const auto policy = make_policy(name, &model, kTargetVp);
+    for (int trial = 0; trial < 40; ++trial) {
+      const SimTime now = rng.uniform(ms(1.0), ms(50.0));
+      const auto n = static_cast<int>(rng.uniform_int(1, 8));
+      std::vector<QueuedRequest> queue;
+      for (int i = 0; i < n; ++i) {
+        const SimTime server = now + rng.uniform(-ms(2.0), ms(45.0));
+        queue.push_back(make_request(i, now - rng.uniform(0.0, ms(1.0)),
+                                     server,
+                                     server + rng.uniform(0.0, ms(5.0))));
+      }
+      const Work done = trial % 2 == 0 ? 0.0 : rng.uniform(1e5, 2e7);
+      EXPECT_EQ(policy->select_frequency(now, queue, done),
+                reference_select(name, model, now, queue, done, kTargetVp))
+          << name << " trial " << trial;
+      const EquivalentQueue equivalents(&model, queue.size(), done);
+      for (std::size_t i = 0; i < queue.size(); ++i) {
+        for (std::size_t fi = 0; fi < grid.size(); ++fi) {
+          const SimTime deadline = queue[i].deadline_with_slack;
+          ASSERT_EQ(model.violation_probability_at(equivalents.at(i), now,
+                                                   deadline, fi),
+                    model.violation_probability(equivalents.at(i), now,
+                                                deadline, grid[fi]))
+              << name << " trial " << trial << " request " << i;
+        }
+      }
+    }
   }
 }
 

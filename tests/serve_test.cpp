@@ -22,6 +22,7 @@
 #include "fault/fault_injector.h"
 #include "golden_digest.h"
 #include "obs/jsonl.h"
+#include "obs/telemetry.h"
 #include "serve/arrivals.h"
 #include "serve/policies.h"
 #include "serve/serving_harness.h"
@@ -670,6 +671,88 @@ TEST(DesGolden, SearchClusterTimeTraderFeedbackMatchesReferenceBits) {
   config.cluster.server_budget = ms(9.8);
   mix_cluster(&digest, scn.run(background, config).metrics);
   EXPECT_EQ(digest.value(), 0x6276d78fb24e9c6cull);
+}
+
+// ---- Clamped schedules ----
+
+std::uint64_t clamped_events() {
+  const obs::MetricsSnapshot snapshot = obs::metrics().snapshot();
+  const auto it = snapshot.counters.find("sim.clamped_events");
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+TEST(DesClamps, GoldenScenariosScheduleNothingIntoThePast) {
+  // The DesGolden runs again: moderate and overload serving, the healthy
+  // and faulted cluster, and TimeTrader. Neither driver may schedule an
+  // event earlier than now() beyond round-off, which would silently run
+  // it late; both report EventQueue::clamped() as sim.clamped_events.
+  const std::uint64_t before = clamped_events();
+  const Scenario scn = serve_scenario();
+  auto serve = [&](const ServingHarnessConfig& config) {
+    ServingHarness harness(&scn.topology(), &scn.service_model(),
+                           &scn.power_model(), config);
+    EXPECT_GT(harness.run().completed, 0);
+  };
+  ServingHarnessConfig moderate = harness_config(scn, 120.0);
+  moderate.arrivals.horizon = sec(120.0);
+  moderate.epoch.transition.epoch_length = sec(40.0);
+  moderate.report_window = sec(20.0);
+  moderate.admission = "sla-aware";
+  serve(moderate);
+  ServingHarnessConfig overload = harness_config(scn, 20.0 * 40.0);
+  overload.arrivals.horizon = sec(60.0);
+  overload.epoch.transition.epoch_length = sec(20.0);
+  overload.report_window = sec(20.0);
+  overload.max_inflight = 16;
+  overload.queue_limit = 32;
+  overload.reconfig_penalty = ms(50.0);
+  overload.policy.bucket_rate_qps = 250.0;
+  for (const auto& [admission, shed] :
+       {std::pair{"always", "deadline"}, std::pair{"always", "never"},
+        std::pair{"token-bucket", "never"}}) {
+    overload.admission = admission;
+    overload.shed = shed;
+    serve(overload);
+  }
+
+  Rng bg_rng(3);
+  const FlowSet background =
+      make_background_flows(scn.flow_gen(), 6, 0.1, 0.1, bg_rng);
+  FaultInjectorConfig faults;
+  faults.mtbf = sec(0.3);
+  faults.mttr = sec(0.5);
+  faults.horizon = sec(2.5);
+  faults.seed = 1;
+  const FaultSchedule schedule =
+      generate_fault_schedule(scn.topology().graph(), faults);
+  ASSERT_NE(scn.fat_tree(), nullptr);
+  const std::vector<bool> full_fabric =
+      AggregationPolicies(scn.fat_tree()).policy(0).switch_on;
+  ScenarioConfig cluster;
+  cluster.cluster.policy = "eprons";
+  cluster.cluster.target_utilization = 0.3;
+  cluster.cluster.warmup = sec(0.5);
+  cluster.cluster.duration = sec(2.0);
+  cluster.cluster.seed = 42;
+  EXPECT_GT(scn.run(background, cluster).metrics.queries_completed, 0u);
+  cluster.fault_timeline = &schedule.timeline;
+  EXPECT_GT(scn.run(background, cluster, &full_fabric)
+                .metrics.subqueries_dropped,
+            0u);
+
+  ScenarioConfig timetrader;
+  timetrader.cluster.policy = "timetrader";
+  timetrader.cluster.target_utilization = 0.3;
+  timetrader.cluster.warmup = sec(0.5);
+  timetrader.cluster.feedback_warmup = sec(1.0);
+  timetrader.cluster.duration = sec(10.0);
+  timetrader.cluster.seed = 42;
+  EXPECT_GT(scn.run(background, timetrader).metrics.queries_completed, 0u);
+  timetrader.cluster.latency_constraint = ms(10.0);
+  timetrader.cluster.server_budget = ms(9.8);
+  EXPECT_GT(scn.run(background, timetrader).metrics.queries_completed, 0u);
+
+  EXPECT_EQ(clamped_events(), before);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 // and end-to-end cluster integration properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <memory>
+#include <stdexcept>
+#include <utility>
+
 #include "dvfs/policies.h"
 #include "dvfs/synthetic_workload.h"
 #include "sim/event_queue.h"
@@ -42,6 +49,13 @@ TEST(EventQueue, PastTimesClampToNow) {
   events.step();
   EXPECT_TRUE(fired);
   EXPECT_DOUBLE_EQ(events.now(), 10.0);
+  EXPECT_EQ(events.clamped(), 1u);
+  EXPECT_DOUBLE_EQ(events.max_clamp(), 5.0);
+  // One ulp early is round-off: clamped to now, not counted.
+  events.schedule(std::nextafter(10.0, 0.0), [] {});
+  events.step();
+  EXPECT_DOUBLE_EQ(events.now(), 10.0);
+  EXPECT_EQ(events.clamped(), 1u);
 }
 
 TEST(EventQueue, RunUntilStopsAndAdvancesClock) {
@@ -65,6 +79,160 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   events.run_all();
   EXPECT_EQ(count, 5);
   EXPECT_DOUBLE_EQ(events.now(), 40.0);
+}
+
+TEST(EventQueue, ClosuresAreDestroyedOnceWhenFiredOrDiscarded) {
+  auto token = std::make_shared<int>(0);
+  {
+    EventQueue events;
+    for (int i = 0; i < 10; ++i) {
+      events.schedule(static_cast<SimTime>(i), [token] { ++*token; });
+    }
+    EXPECT_EQ(token.use_count(), 11);
+    events.run_until(4.0);
+    EXPECT_EQ(*token, 5);
+    EXPECT_EQ(token.use_count(), 6);  // each fired closure is gone
+  }  // the queue dies with five events pending
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 5);
+}
+
+TEST(EventQueue, ThrowingCallbackFreesItsCellAndLeavesQueueUsable) {
+  auto token = std::make_shared<int>(0);
+  EventQueue events;
+  events.schedule(1.0, [token] { throw std::runtime_error("callback"); });
+  events.schedule(2.0, [token] { ++*token; });
+  EXPECT_THROW(events.step(), std::runtime_error);
+  EXPECT_EQ(token.use_count(), 2);  // the thrower's capture is destroyed
+  EXPECT_DOUBLE_EQ(events.now(), 1.0);
+  EXPECT_EQ(events.pending(), 1u);
+  events.schedule(3.0, [token] { ++*token; });  // takes the freed cell
+  events.run_all();
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_DOUBLE_EQ(events.now(), 3.0);
+}
+
+// The queue EventQueue replaced: std::function callbacks in a binary heap
+// of (when, seq, callback) entries. Kept as the oracle for fire order.
+class ReferenceQueue {
+ public:
+  void schedule(SimTime when, std::function<void()> callback) {
+    if (when < now_) when = now_;
+    heap_.push_back(Entry{when, next_seq_++, std::move(callback)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  void schedule_in(SimTime delay, std::function<void()> callback) {
+    schedule(now_ + (delay > 0.0 ? delay : 0.0), std::move(callback));
+  }
+  SimTime now() const { return now_; }
+  std::size_t pending() const { return heap_.size(); }
+  bool step() {
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Entry entry = std::move(heap_.back());
+    heap_.pop_back();
+    now_ = entry.when;
+    entry.callback();
+    return true;
+  }
+  void run_until(SimTime end) {
+    while (!heap_.empty() && heap_.front().when <= end) step();
+    if (now_ < end) now_ = end;
+  }
+
+ private:
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq;
+    std::function<void()> callback;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
+  };
+  std::vector<Entry> heap_;
+  SimTime now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+};
+
+/// A seeded event cascade on either queue. Timestamps sit on an integer
+/// grid, so dozens of events tie at each; every callback logs its id and
+/// now(), then schedules up to two children at now() or a few units later,
+/// until kEvents have been scheduled. A third of the closures fill a whole
+/// cell.
+template <typename Queue>
+class Cascade {
+ public:
+  static constexpr std::uint64_t kEvents = 120000;
+
+  explicit Cascade(std::uint64_t seed) : rng_(seed) {}
+
+  /// The fire log ((id, now) per event), then one (pending, now) entry
+  /// per run_until boundary.
+  std::vector<std::pair<double, double>> run() {
+    for (int i = 0; i < 2000; ++i) add(std::floor(rng_.uniform(0.0, 50.0)));
+    SimTime end = 0.0;
+    std::vector<std::pair<double, double>> boundaries;
+    while (queue_.pending() > 0) {
+      end += std::floor(rng_.uniform(0.0, 12.0));
+      queue_.run_until(end);
+      boundaries.emplace_back(static_cast<double>(queue_.pending()),
+                              queue_.now());
+    }
+    EXPECT_EQ(scheduled_, kEvents);
+    EXPECT_EQ(log_.size(), kEvents);
+    log_.insert(log_.end(), boundaries.begin(), boundaries.end());
+    return log_;
+  }
+
+ private:
+  struct Wide {
+    double words[9];
+  };
+
+  void add(SimTime when) {
+    const std::uint64_t id = scheduled_++;
+    if (id % 3 == 0) {
+      const Wide wide{{static_cast<double>(id)}};
+      auto full = [this, id, wide] { fire(id, wide.words[0]); };
+      static_assert(sizeof(full) == EventQueue::kInlineCapture);
+      queue_.schedule(when, full);
+    } else if (id % 3 == 1) {
+      queue_.schedule_in(when - queue_.now(),
+                         [this, id] { fire(id, static_cast<double>(id)); });
+    } else {
+      queue_.schedule(when, [this, id] { fire(id, static_cast<double>(id)); });
+    }
+  }
+
+  void fire(std::uint64_t id, double payload) {
+    EXPECT_EQ(payload, static_cast<double>(id));
+    log_.emplace_back(static_cast<double>(id), queue_.now());
+    const auto children = rng_.uniform_int(0, 2);
+    for (std::int64_t c = 0; c < children && scheduled_ < kEvents; ++c) {
+      const bool now = rng_.uniform() < 0.3;
+      add(queue_.now() + (now ? 0.0 : std::floor(rng_.uniform(1.0, 8.0))));
+    }
+  }
+
+  Queue queue_;
+  Rng rng_;
+  std::uint64_t scheduled_ = 0;
+  std::vector<std::pair<double, double>> log_;
+};
+
+TEST(EventQueue, FireOrderMatchesReferenceHeapQueue) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto got = Cascade<EventQueue>(seed).run();
+    const auto want = Cascade<ReferenceQueue>(seed).run();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " entry " << i;
+    }
+  }
 }
 
 ServiceModel sim_model(std::uint64_t seed = 21) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "obs/telemetry.h"
 #include "topo/path_catalog.h"
@@ -32,7 +33,8 @@ struct Packer {
   /// Set when !best_effort_overflow and a flow could not be placed; the
   /// caller returns an infeasible result with cleared paths.
   bool aborted = false;
-  /// Scratch skip-mask over one pair's catalog paths (reused per place).
+  /// Scratch skip-mask over one pair's catalog paths (reused per place;
+  /// filled only when a mask is set).
   std::vector<std::uint8_t> usable;
 
   Packer(const Topology& topo_in, const FlowSet& flows_in,
@@ -161,17 +163,50 @@ struct Packer {
   void apply_cataloged(std::size_t fi, const CatalogPath& cp) {
     const Flow& flow = flows[fi];
     const Bandwidth scaled = flow.scaled_demand(config.scale_factor_k);
-    for (std::size_t h = 0; h < cp.arc_slots.size(); ++h) {
+    const std::span<const std::uint32_t> arc_slots = cp.arc_slots();
+    const std::span<const std::uint8_t> host_adjacent = cp.host_adjacent();
+    for (std::size_t h = 0; h < arc_slots.size(); ++h) {
       // May go negative on overflow.
-      residual[cp.arc_slots[h]] -= cp.host_adjacent[h] ? flow.demand : scaled;
+      residual[arc_slots[h]] -= host_adjacent[h] ? flow.demand : scaled;
     }
-    result.flow_paths[fi] = cp.nodes;
-    for (NodeId n : cp.nodes) {
+    const std::span<const NodeId> nodes = cp.nodes();
+    result.flow_paths[fi].assign(nodes.begin(), nodes.end());
+    for (NodeId n : nodes) {
       result.switch_on[static_cast<std::size_t>(n)] = true;
     }
-    for (LinkId l : cp.links) {
+    for (LinkId l : cp.links()) {
       result.link_on[static_cast<std::size_t>(l)] = true;
     }
+  }
+
+  /// Marks in `usable` the catalog paths that pass the allowed-switch and
+  /// blocked-link masks; returns how many do.
+  std::size_t mark_usable(const std::vector<CatalogPath>& cpaths) {
+    usable.assign(cpaths.size(), 1);
+    std::size_t usable_count = 0;
+    for (std::size_t p = 0; p < cpaths.size(); ++p) {
+      const CatalogPath& cp = cpaths[p];
+      bool ok = true;
+      if (!config.allowed_switches.empty()) {
+        for (NodeId n : cp.switches()) {
+          if (!config.allowed_switches[static_cast<std::size_t>(n)]) {
+            ok = false;
+            break;
+          }
+        }
+      }
+      if (ok && !config.blocked_links.empty()) {
+        for (LinkId l : cp.links()) {
+          if (config.blocked_links[static_cast<std::size_t>(l)]) {
+            ok = false;
+            break;
+          }
+        }
+      }
+      usable[p] = ok ? 1 : 0;
+      if (ok) ++usable_count;
+    }
+    return usable_count;
   }
 
   /// place() against the memoized catalog: identical filtering, scoring and
@@ -182,30 +217,11 @@ struct Packer {
     const Flow& flow = flows[fi];
     const std::vector<CatalogPath>& cpaths =
         config.path_catalog->pair(flow.src_host, flow.dst_host);
-    usable.assign(cpaths.size(), 1);
-    std::size_t usable_count = 0;
-    for (std::size_t p = 0; p < cpaths.size(); ++p) {
-      const CatalogPath& cp = cpaths[p];
-      bool ok = true;
-      if (!config.allowed_switches.empty()) {
-        for (NodeId n : cp.switches) {
-          if (!config.allowed_switches[static_cast<std::size_t>(n)]) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      if (ok && !config.blocked_links.empty()) {
-        for (LinkId l : cp.links) {
-          if (config.blocked_links[static_cast<std::size_t>(l)]) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      usable[p] = ok ? 1 : 0;
-      if (ok) ++usable_count;
-    }
+    // With neither mask set, every path is usable and the filter is skipped.
+    const bool filtered =
+        !config.allowed_switches.empty() || !config.blocked_links.empty();
+    const std::size_t usable_count =
+        filtered ? mark_usable(cpaths) : cpaths.size();
     if (usable_count == 0) {
       // The restricted subnet disconnects this pair entirely.
       overloaded = true;
@@ -221,13 +237,15 @@ struct Packer {
     std::size_t best = cpaths.size();
     double best_score = std::numeric_limits<double>::max();
     for (std::size_t p = 0; p < cpaths.size(); ++p) {
-      if (!usable[p]) continue;
+      if (filtered && !usable[p]) continue;
       const CatalogPath& cp = cpaths[p];
+      const std::span<const std::uint32_t> arc_slots = cp.arc_slots();
+      const std::span<const std::uint8_t> host_adjacent = cp.host_adjacent();
       bool fits = true;
       double min_headroom = std::numeric_limits<double>::infinity();
-      for (std::size_t h = 0; h < cp.arc_slots.size(); ++h) {
-        const Bandwidth need = cp.host_adjacent[h] ? flow.demand : scaled;
-        const Bandwidth r = residual[cp.arc_slots[h]];
+      for (std::size_t h = 0; h < arc_slots.size(); ++h) {
+        const Bandwidth need = host_adjacent[h] ? flow.demand : scaled;
+        const Bandwidth r = residual[arc_slots[h]];
         min_headroom = std::min(min_headroom, r - need);
         if (r + 1e-9 < need) {
           fits = false;
@@ -238,7 +256,7 @@ struct Packer {
       double score;
       if (options.objective == PlacementObjective::MinimizeSwitches) {
         int new_switches = 0;
-        for (NodeId n : cp.switches) {
+        for (NodeId n : cp.switches()) {
           if (!result.switch_on[static_cast<std::size_t>(n)]) ++new_switches;
         }
         score = new_switches;
@@ -262,9 +280,9 @@ struct Packer {
       overloaded = true;
       Bandwidth best_bottleneck = -std::numeric_limits<double>::infinity();
       for (std::size_t p = 0; p < cpaths.size(); ++p) {
-        if (!usable[p]) continue;
+        if (filtered && !usable[p]) continue;
         Bandwidth bottleneck = std::numeric_limits<double>::infinity();
-        for (std::uint32_t slot : cpaths[p].arc_slots) {
+        for (std::uint32_t slot : cpaths[p].arc_slots()) {
           bottleneck = std::min(bottleneck, residual[slot]);
         }
         if (bottleneck > best_bottleneck) {

@@ -222,7 +222,8 @@ ConsolidationResult HierarchicalConsolidator::solve(
   });
 
   // Serial merge in pod order: stitch masks and paths, charge every placed
-  // pod path into the committed load the core phase packs around.
+  // pod path into the committed load the core phase packs around, then
+  // move it into the stitched result (the pod results are not read again).
   ConsolidationResult result;
   result.switch_on.assign(static_cast<std::size_t>(graph.num_nodes()), false);
   result.link_on.assign(static_cast<std::size_t>(graph.num_links()), false);
@@ -240,7 +241,7 @@ ConsolidationResult HierarchicalConsolidator::solve(
   bool any_warm = false;
   for (std::size_t p = 0; p < pods; ++p) {
     if (part.pod[p].empty()) continue;
-    const ConsolidationResult& pr = pod_results[p];
+    ConsolidationResult& pr = pod_results[p];
     feasible = feasible && pr.feasible;
     any_warm = any_warm || pr.warm_started;
     merge_mask(result.switch_on, pr.switch_on);
@@ -248,9 +249,9 @@ ConsolidationResult HierarchicalConsolidator::solve(
     for (std::size_t j = 0; j < part.pod[p].size(); ++j) {
       const std::size_t orig = part.pod[p][j];
       if (j >= pr.flow_paths.size() || pr.flow_paths[j].size() < 2) continue;
-      result.flow_paths[orig] = pr.flow_paths[j];
       charge_path(graph, flows[orig], pr.flow_paths[j],
                   config.scale_factor_k, committed);
+      result.flow_paths[orig] = std::move(pr.flow_paths[j]);
     }
   }
 
@@ -266,7 +267,7 @@ ConsolidationResult HierarchicalConsolidator::solve(
     build_bucket_hint(*warm, part.inter, warm->previous->active_switches,
                       core_hint);
   }
-  const ConsolidationResult core =
+  ConsolidationResult core =
       warm_ok ? inner().consolidate_incremental(ft, inter_flows, core_config,
                                                 &core_hint.hint)
               : inner().consolidate(ft, inter_flows, core_config);
@@ -276,7 +277,7 @@ ConsolidationResult HierarchicalConsolidator::solve(
   merge_mask(result.link_on, core.link_on);
   for (std::size_t j = 0; j < part.inter.size(); ++j) {
     if (j >= core.flow_paths.size() || core.flow_paths[j].size() < 2) continue;
-    result.flow_paths[part.inter[j]] = core.flow_paths[j];
+    result.flow_paths[part.inter[j]] = std::move(core.flow_paths[j]);
   }
 
   result.feasible = feasible;

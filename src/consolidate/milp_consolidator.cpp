@@ -93,7 +93,7 @@ PathMilp build_path_milp(const Topology& topo, const FlowSet& flows,
     if (cataloged != nullptr) {
       milp.flow_paths[i].reserve(cataloged->size());
       for (const CatalogPath& cp : *cataloged) {
-        milp.flow_paths[i].push_back(cp.nodes);
+        milp.flow_paths[i].emplace_back(cp.nodes().begin(), cp.nodes().end());
       }
     } else {
       milp.flow_paths[i] = topo.all_paths(flow.src_host, flow.dst_host);
@@ -108,14 +108,14 @@ PathMilp build_path_milp(const Topology& topo, const FlowSet& flows,
       const Path& path = milp.flow_paths[i][p];
       for (std::size_t h = 0; h + 1 < path.size(); ++h) {
         const LinkId lid = cataloged != nullptr
-                               ? (*cataloged)[p].links[h]
+                               ? (*cataloged)[p].links()[h]
                                : graph.find_link(path[h], path[h + 1]);
         const bool forward = cataloged != nullptr
-                                 ? ((*cataloged)[p].arc_slots[h] & 1u) == 0u
+                                 ? ((*cataloged)[p].arc_slots()[h] & 1u) == 0u
                                  : graph.link(lid).a == path[h];
         const bool host_adjacent =
             cataloged != nullptr
-                ? (*cataloged)[p].host_adjacent[h] != 0
+                ? (*cataloged)[p].host_adjacent()[h] != 0
                 : !graph.is_switch(path[h]) || !graph.is_switch(path[h + 1]);
         const double arc_load = host_adjacent ? flow.demand : scaled;
         if (arc_load > 0.0) {

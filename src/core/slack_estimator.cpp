@@ -1,13 +1,13 @@
 #include "core/slack_estimator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <span>
 #include <utility>
 
 #include "obs/telemetry.h"
 #include "stats/fast_log.h"
+#include "stats/percentile.h"
 
 namespace eprons {
 
@@ -21,52 +21,11 @@ namespace {
 constexpr std::size_t kIterChunk = 32;
 
 // Mean over the buffer's insertion order (shard order, draw order within a
-// shard). Runs BEFORE any quantile call below permutes the buffer, so the
-// floating-point summation order is pinned.
+// shard), so the floating-point summation order is pinned.
 double insertion_order_mean(std::span<const double> v) {
   double sum = 0.0;
   for (double x : v) sum += x;
   return sum / static_cast<double>(v.size());
-}
-
-// PercentileEstimator's nearest-rank quantile — rank = ceil(p*n) clamped
-// to [1, n], value = rank-th smallest — evaluated with nth_element instead
-// of a full sort: O(n) per quantile, and the selected element is the same
-// under any partial permutation, so sequential p95-then-p99 calls on one
-// buffer are both exact.
-std::size_t nearest_rank(std::size_t n, double p) {
-  std::size_t rank =
-      static_cast<std::size_t>(std::ceil(p * static_cast<double>(n)));
-  if (rank == 0) rank = 1;
-  if (rank > n) rank = n;
-  return rank;
-}
-
-double nearest_rank_quantile(std::span<double> v, double p) {
-  const std::size_t rank = nearest_rank(v.size(), p);
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(rank - 1),
-                   v.end());
-  return v[rank - 1];
-}
-
-// p95 and p99 with one full selection and one tail selection: after the
-// p95 nth_element, everything at or past the p95 rank is >= the p95
-// value, so the p99 rank — which ranks at or beyond it — can be selected
-// inside that small tail instead of re-partitioning the whole buffer. The
-// selected values equal a full sort's exactly.
-void tail_quantiles(std::span<double> v, double* p95, double* p99) {
-  const std::size_t r95 = nearest_rank(v.size(), 0.95);
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(r95 - 1),
-                   v.end());
-  *p95 = v[r95 - 1];
-  const std::size_t r99 = nearest_rank(v.size(), 0.99);
-  if (r99 == r95) {
-    *p99 = v[r95 - 1];
-    return;
-  }
-  std::nth_element(v.begin() + static_cast<std::ptrdiff_t>(r95),
-                   v.begin() + static_cast<std::ptrdiff_t>(r99 - 1), v.end());
-  *p99 = v[r99 - 1];
 }
 
 }  // namespace
@@ -298,22 +257,31 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
 
   // Merge: one task per (query, request|total buffer), each writing only
   // its own fields. A buffer's order is fixed by the shard slices above,
-  // whichever worker fills or merges it. Its mean runs first, over that
-  // insertion order; its quantiles then select via nth_element, which
-  // permutes the buffer but never changes which value sits at a rank.
+  // whichever worker fills or merges it. Its mean sums that insertion
+  // order; its quantiles are PercentileEstimator's nearest ranks, selected
+  // exactly by stats/percentile select_ranks (p95 and p99 from one pass
+  // of bucket counts), which leaves the buffer as it is.
   parallel_for(pool, queries.size() * 2, [&](std::size_t task) {
     const std::size_t q = task / 2;
-    QueryBuffers& buf = buffers[q];
+    const QueryBuffers& buf = buffers[q];
     const std::size_t n = buf.shard_offset[shards];
     if (n == 0) return;
+    const obs::ScopedSpan merge_span(obs::tracer(), "slack_merge", "planner",
+                                     "query", static_cast<double>(q));
     if (task % 2 == 0) {
-      const std::span<double> request(buf.request.get(), n);
+      const std::span<const double> request(buf.request.get(), n);
       out[q].request_mean = insertion_order_mean(request);
-      out[q].request_p95 = nearest_rank_quantile(request, 0.95);
+      const std::size_t rank = nearest_rank(n, 0.95);
+      select_ranks(request, {&rank, 1}, {&out[q].request_p95, 1});
     } else {
-      const std::span<double> total(buf.total.get(), n);
+      const std::span<const double> total(buf.total.get(), n);
       out[q].total_mean = insertion_order_mean(total);
-      tail_quantiles(total, &out[q].total_p95, &out[q].total_p99);
+      const std::size_t ranks[] = {nearest_rank(n, 0.95),
+                                   nearest_rank(n, 0.99)};
+      double tails[2];
+      select_ranks(total, ranks, tails);
+      out[q].total_p95 = tails[0];
+      out[q].total_p99 = tails[1];
     }
   });
   return out;

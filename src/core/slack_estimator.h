@@ -38,8 +38,10 @@
 // determinism regression (docs/DETERMINISM.md).
 //
 // The merge runs one task per (query, request|total buffer) on the same
-// pool: each buffer's mean sums its fixed insertion order before its own
-// nth_element selections reorder it, so the merge is parallel and exact.
+// pool: each buffer's mean sums its fixed insertion order, and its
+// quantiles come from an exact radix selection (stats/percentile.h
+// select_ranks) that returns the same values a full sort would, so the
+// merge is parallel and exact.
 #pragma once
 
 #include <vector>

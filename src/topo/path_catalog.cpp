@@ -1,9 +1,31 @@
 #include "topo/path_catalog.h"
 
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
 namespace eprons {
+
+CatalogPath::CatalogPath(const Graph& graph, const Path& path) {
+  if (path.size() > kMaxNodes) {
+    throw std::length_error(
+        "CatalogPath: path has more nodes than CatalogPath::kMaxNodes");
+  }
+  node_count_ = static_cast<std::uint8_t>(path.size());
+  hop_count_ = static_cast<std::uint8_t>(path.size() < 2 ? 0 : path.size() - 1);
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    nodes_[i] = path[i];
+    if (graph.is_switch(path[i])) switches_[switch_count_++] = path[i];
+  }
+  for (std::size_t h = 0; h < hop_count_; ++h) {
+    const LinkId lid = graph.find_link(path[h], path[h + 1]);
+    const bool forward = graph.link(lid).a == path[h];
+    arc_slots_[h] = static_cast<std::uint32_t>(lid) * 2 + (forward ? 0u : 1u);
+    links_[h] = lid;
+    host_adjacent_[h] =
+        !graph.is_switch(path[h]) || !graph.is_switch(path[h + 1]);
+  }
+}
 
 PathCatalog::PathCatalog(const Topology* topo)
     : topo_(topo),
@@ -26,32 +48,23 @@ const std::vector<CatalogPath>& PathCatalog::pair(int src_host,
     entry_ptr = slot.get();
   }
   Entry& entry = *entry_ptr;
+  // The fill never lets an exception escape call_once: a once_flag left
+  // mid-call by a throw makes a later call wait forever under some
+  // pthread_once implementations (ThreadSanitizer's among them). The
+  // failure is kept instead, and every lookup of the pair rethrows it.
   std::call_once(entry.once, [&] {
-    const Graph& graph = topo_->graph();
-    std::vector<CatalogPath> annotated;
-    for (Path& path : topo_->all_paths(src_host, dst_host)) {
-      CatalogPath cp;
-      cp.nodes = std::move(path);
-      const std::size_t hops = cp.nodes.size() < 2 ? 0 : cp.nodes.size() - 1;
-      cp.arc_slots.reserve(hops);
-      cp.links.reserve(hops);
-      cp.host_adjacent.reserve(hops);
-      for (std::size_t h = 0; h + 1 < cp.nodes.size(); ++h) {
-        const LinkId lid = graph.find_link(cp.nodes[h], cp.nodes[h + 1]);
-        const bool forward = graph.link(lid).a == cp.nodes[h];
-        cp.arc_slots.push_back(static_cast<std::uint32_t>(lid) * 2 +
-                               (forward ? 0u : 1u));
-        cp.links.push_back(lid);
-        cp.host_adjacent.push_back(!graph.is_switch(cp.nodes[h]) ||
-                                   !graph.is_switch(cp.nodes[h + 1]));
-      }
-      for (NodeId n : cp.nodes) {
-        if (graph.is_switch(n)) cp.switches.push_back(n);
-      }
-      annotated.push_back(std::move(cp));
+    try {
+      const Graph& graph = topo_->graph();
+      const std::vector<Path> paths = topo_->all_paths(src_host, dst_host);
+      std::vector<CatalogPath> annotated;
+      annotated.reserve(paths.size());
+      for (const Path& path : paths) annotated.emplace_back(graph, path);
+      entry.paths = std::move(annotated);
+    } catch (...) {
+      entry.failure = std::current_exception();
     }
-    entry.paths = std::move(annotated);
   });
+  if (entry.failure) std::rethrow_exception(entry.failure);
   return entry.paths;
 }
 

@@ -2,8 +2,14 @@
 // distributions (the violation-probability substrate), percentiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "golden_digest.h"
 #include "stats/distribution.h"
@@ -306,6 +312,99 @@ TEST(WindowedPercentile, ForgetsOldSamples) {
   for (int i = 0; i < 10; ++i) w.add(1000.0);
   for (int i = 0; i < 10; ++i) w.add(1.0);
   EXPECT_DOUBLE_EQ(w.quantile(0.99), 1.0);
+}
+
+// ---- Exact rank selection ----
+
+TEST(NearestRank, CeilOfPTimesNClampedToOneThroughN) {
+  EXPECT_EQ(nearest_rank(100, 0.95), 95u);
+  EXPECT_EQ(nearest_rank(61380, 0.95), 58311u);
+  EXPECT_EQ(nearest_rank(61380, 0.99), 60767u);
+  EXPECT_EQ(nearest_rank(3, 0.5), 2u);
+  EXPECT_EQ(nearest_rank(7, 0.0), 1u);
+  EXPECT_EQ(nearest_rank(7, -1.0), 1u);
+  EXPECT_EQ(nearest_rank(7, 1.0), 7u);
+  EXPECT_EQ(nearest_rank(7, 2.0), 7u);
+  EXPECT_EQ(nearest_rank(1, 0.95), 1u);
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// The value std::nth_element places at index rank - 1.
+double nth_element_value(std::vector<double> values, std::size_t rank) {
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+  std::nth_element(values.begin(), nth, values.end());
+  return *nth;
+}
+
+// select_ranks must return nth_element's bits at ranks 1 and n and at the
+// p95/p99 nearest ranks, one rank per call and all four from one call.
+void expect_selection_matches_nth_element(const std::vector<double>& values,
+                                          const std::string& label) {
+  const std::size_t n = values.size();
+  const std::size_t ranks[] = {1, nearest_rank(n, 0.95),
+                               nearest_rank(n, 0.99), n};
+  double together[4];
+  select_ranks(values, ranks, together);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t rank = ranks[i];
+    const std::uint64_t want = bits_of(nth_element_value(values, rank));
+    double alone = 0.0;
+    select_ranks(values, {&rank, 1}, {&alone, 1});
+    EXPECT_EQ(bits_of(alone), want) << label << " n=" << n << " rank=" << rank;
+    EXPECT_EQ(bits_of(together[i]), want)
+        << label << " n=" << n << " rank=" << rank << " (one call)";
+  }
+}
+
+TEST(SelectRanks, MatchesNthElementBitForBit) {
+  // 61380 is a k=16 slack buffer: 1023 routed pairs x 60 samples.
+  for (const std::size_t n : {1u, 2u, 3u, 64u, 61380u}) {
+    Rng rng(1000 + n);
+    const auto fill = [&](auto draw) {
+      std::vector<double> v(n);
+      for (double& x : v) x = draw();
+      return v;
+    };
+    expect_selection_matches_nth_element(
+        fill([&] { return 20.0 + rng.exponential(50.0); }), "latency-like");
+    expect_selection_matches_nth_element(fill([] { return 3.25; }),
+                                         "all-equal");
+    expect_selection_matches_nth_element(
+        fill([&] { return rng.uniform() < 0.9 ? 1.0 : 2.0; }), "two-valued");
+    expect_selection_matches_nth_element(
+        fill([&] { return rng.uniform() < 0.3 ? 0.0 : rng.uniform(0, 5); }),
+        "exact zeros");
+    expect_selection_matches_nth_element(
+        fill([&] { return rng.normal(0.0, 5.0); }), "negatives");
+    expect_selection_matches_nth_element(
+        fill([&] {
+          return std::exp(rng.uniform(std::log(1e-3), std::log(1e6)));
+        }),
+        "1e-3..1e6 spread");
+  }
+}
+
+TEST(SelectRanks, OrdersNegativeZeroFirstAndRejectsBadRanks) {
+  const std::vector<double> values = {0.0, 1.0, -0.0};
+  const std::size_t ranks[] = {1, 2, 3};
+  double out[3];
+  select_ranks(values, ranks, out);
+  EXPECT_EQ(bits_of(out[0]), bits_of(-0.0));
+  EXPECT_EQ(bits_of(out[1]), bits_of(0.0));
+  EXPECT_EQ(out[2], 1.0);
+
+  double one = 0.0;
+  const std::size_t zero = 0;
+  const std::size_t past_end = 4;
+  const std::size_t decreasing[] = {2, 1};
+  double two[2];
+  EXPECT_THROW(select_ranks(values, {&zero, 1}, {&one, 1}),
+               std::out_of_range);
+  EXPECT_THROW(select_ranks(values, {&past_end, 1}, {&one, 1}),
+               std::out_of_range);
+  EXPECT_THROW(select_ranks(values, decreasing, two), std::out_of_range);
+  EXPECT_THROW(select_ranks(values, ranks, two), std::invalid_argument);
 }
 
 TEST(OnlineStats, MatchesClosedForm) {

@@ -4,11 +4,14 @@
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "topo/aggregation.h"
 #include "topo/fattree.h"
 #include "topo/graph.h"
+#include "topo/leaf_spine.h"
 #include "topo/path_catalog.h"
 
 namespace eprons {
@@ -116,37 +119,112 @@ TEST(FatTree, PodSwitchMaskCoversExactlyThePodsEdgeAndAgg) {
   }
 }
 
+// Asserts that the catalog's entry for one host pair is exactly the
+// topology's all_paths list — same order, same annotations — and that a
+// second lookup returns the memoized object.
+void expect_catalog_matches_all_paths(const Topology& topo,
+                                      const PathCatalog& catalog, int src,
+                                      int dst) {
+  const Graph& g = topo.graph();
+  const auto& cached = catalog.pair(src, dst);
+  const auto reference = topo.all_paths(src, dst);
+  ASSERT_EQ(cached.size(), reference.size()) << src << "->" << dst;
+  for (std::size_t p = 0; p < cached.size(); ++p) {
+    const Path& path = reference[p];
+    EXPECT_EQ(Path(cached[p].nodes().begin(), cached[p].nodes().end()), path)
+        << src << "->" << dst;
+    ASSERT_EQ(cached[p].arc_slots().size(), path.size() - 1);
+    ASSERT_EQ(cached[p].links().size(), path.size() - 1);
+    ASSERT_EQ(cached[p].host_adjacent().size(), path.size() - 1);
+    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+      const LinkId link = g.find_link(path[h], path[h + 1]);
+      const bool forward = g.link(link).a == path[h];
+      EXPECT_EQ(cached[p].links()[h], link);
+      EXPECT_EQ(cached[p].arc_slots()[h],
+                static_cast<std::uint32_t>(link) * 2 + (forward ? 0u : 1u));
+      EXPECT_EQ(cached[p].host_adjacent()[h] != 0,
+                !g.is_switch(path[h]) || !g.is_switch(path[h + 1]));
+    }
+    Path switches;
+    for (NodeId n : path) {
+      if (g.is_switch(n)) switches.push_back(n);
+    }
+    EXPECT_EQ(
+        Path(cached[p].switches().begin(), cached[p].switches().end()),
+        switches)
+        << src << "->" << dst;
+  }
+  // Second lookup hits the memoized entry and must be the same object.
+  EXPECT_EQ(&catalog.pair(src, dst), &cached);
+}
+
 TEST(PathCatalog, SparseStorageMatchesAllPathsAtK16) {
   // The catalog's sparse shards must return exactly the all_paths list —
   // same order, same annotations — at the scale the dense layout could
   // not reach (1024 hosts would be 1M dense slots).
   const FatTree ft(16);
-  const Graph& g = ft.graph();
   const PathCatalog catalog(&ft);
   // Same edge, same pod, cross pod; plus the last pair in the machine.
   const std::pair<int, int> pairs[] = {
       {0, 1}, {0, 9}, {0, 1023}, {517, 201}, {1023, 0}};
   for (const auto& [src, dst] : pairs) {
-    const auto& cached = catalog.pair(src, dst);
-    const auto reference = ft.all_paths(src, dst);
-    ASSERT_EQ(cached.size(), reference.size()) << src << "->" << dst;
-    for (std::size_t p = 0; p < cached.size(); ++p) {
-      EXPECT_EQ(cached[p].nodes, reference[p]) << src << "->" << dst;
-      ASSERT_EQ(cached[p].arc_slots.size(), reference[p].size() - 1);
-      for (std::size_t h = 0; h + 1 < reference[p].size(); ++h) {
-        const LinkId link = g.find_link(reference[p][h], reference[p][h + 1]);
-        const bool forward = g.link(link).a == reference[p][h];
-        EXPECT_EQ(cached[p].links[h], link);
-        EXPECT_EQ(cached[p].arc_slots[h],
-                  static_cast<std::uint32_t>(link) * 2 + (forward ? 0u : 1u));
-        EXPECT_EQ(cached[p].host_adjacent[h] != 0,
-                  !g.is_switch(reference[p][h]) ||
-                      !g.is_switch(reference[p][h + 1]));
-      }
-    }
-    // Second lookup hits the memoized entry and must be the same object.
-    EXPECT_EQ(&catalog.pair(src, dst), &cached);
+    expect_catalog_matches_all_paths(ft, catalog, src, dst);
   }
+}
+
+TEST(PathCatalog, MatchesAllPathsOnLeafSpine) {
+  const LeafSpine ls(4, 3, 2);
+  const PathCatalog catalog(&ls);
+  // Same leaf (one path), different leaves (one per spine), both ways.
+  const std::pair<int, int> pairs[] = {{0, 1}, {0, 7}, {7, 0}, {2, 5}};
+  for (const auto& [src, dst] : pairs) {
+    expect_catalog_matches_all_paths(ls, catalog, src, dst);
+  }
+}
+
+// Two hosts joined by a chain of six switches: its one path has 8 nodes,
+// one more than CatalogPath holds.
+class ChainTopology final : public Topology {
+ public:
+  ChainTopology() {
+    path_.push_back(graph_.add_node(NodeType::Host, 0, 0, "h0"));
+    for (int i = 0; i < 6; ++i) {
+      path_.push_back(graph_.add_node(NodeType::EdgeSwitch, 0, i,
+                                      "s" + std::to_string(i)));
+    }
+    path_.push_back(graph_.add_node(NodeType::Host, 0, 1, "h1"));
+    for (std::size_t i = 0; i + 1 < path_.size(); ++i) {
+      graph_.add_link(path_[i], path_[i + 1], 1000.0);
+    }
+  }
+  const Graph& graph() const override { return graph_; }
+  int num_hosts() const override { return 2; }
+  int num_switches() const override { return 6; }
+  Bandwidth link_capacity() const override { return 1000.0; }
+  NodeId host(int index) const override {
+    return index == 0 ? path_.front() : path_.back();
+  }
+  int hosts_per_access_switch() const override { return 1; }
+  std::vector<Path> all_paths(int src_host, int) const override {
+    return {src_host == 0 ? path_ : Path(path_.rbegin(), path_.rend())};
+  }
+  std::vector<Path> active_paths(int src_host, int dst_host,
+                                 const std::vector<bool>&) const override {
+    return all_paths(src_host, dst_host);
+  }
+
+ private:
+  Graph graph_;
+  Path path_;
+};
+
+TEST(PathCatalog, RejectsPathLongerThanCapacity) {
+  const ChainTopology chain;
+  ASSERT_EQ(chain.all_paths(0, 1).front().size(), CatalogPath::kMaxNodes + 1);
+  const PathCatalog catalog(&chain);
+  EXPECT_THROW(catalog.pair(0, 1), std::length_error);
+  // A later lookup throws again rather than returning an empty list.
+  EXPECT_THROW(catalog.pair(0, 1), std::length_error);
 }
 
 TEST(FatTree, RejectsOddK) {

@@ -6,6 +6,23 @@
 
 namespace eprons {
 
+namespace {
+
+/// The decision for one fresh request (nothing in service yet) with
+/// deadline margin `dt`: the first grid frequency whose threshold dt
+/// reaches, f_max if none does. The thresholds fall along the grid, so the
+/// unmet ones are a prefix, and counting them finds the first met one
+/// without a branch.
+Freq one_request_frequency(const std::vector<Freq>& grid,
+                           const std::vector<SimTime>& thresholds,
+                           SimTime dt) {
+  std::size_t unmet = 0;
+  for (const SimTime t : thresholds) unmet += dt < t ? 1 : 0;
+  return grid[std::min(unmet, grid.size() - 1)];
+}
+
+}  // namespace
+
 Freq MaxFreqPolicy::select_frequency(SimTime, std::span<const QueuedRequest>,
                                      Work) {
   return model_->config().f_max;
@@ -16,11 +33,16 @@ RubikPolicy::RubikPolicy(const ServiceModel* model,
                          bool use_network_slack)
     : DvfsPolicy(model),
       config_(config),
-      use_network_slack_(use_network_slack) {}
+      use_network_slack_(use_network_slack),
+      one_request_(model->one_request_thresholds(config.target_vp)) {}
 
 Freq RubikPolicy::select_frequency(SimTime now,
                                    std::span<const QueuedRequest> queue,
                                    Work in_service_done) {
+  if (queue.size() == 1 && in_service_done <= 0.0) {
+    return one_request_frequency(model_->frequency_grid(), one_request_,
+                                 deadline_of(queue[0]) - now);
+  }
   const EquivalentQueue equivalents(model_, queue.size(), in_service_done);
   // Feasible(fi): every equivalent request meets the per-request miss
   // budget at grid frequency fi.
@@ -38,7 +60,10 @@ Freq RubikPolicy::select_frequency(SimTime now,
 EpronsServerPolicy::EpronsServerPolicy(const ServiceModel* model,
                                        StatisticalPolicyConfig config,
                                        EpronsFeatures features)
-    : DvfsPolicy(model), config_(config), features_(features) {}
+    : DvfsPolicy(model),
+      config_(config),
+      features_(features),
+      one_request_(model->one_request_thresholds(config.target_vp)) {}
 
 double EpronsServerPolicy::average_vp(SimTime now,
                                       std::span<const QueuedRequest> queue,
@@ -55,6 +80,10 @@ double EpronsServerPolicy::average_vp(SimTime now,
 Freq EpronsServerPolicy::select_frequency(SimTime now,
                                           std::span<const QueuedRequest> queue,
                                           Work in_service_done) {
+  if (queue.size() == 1 && in_service_done <= 0.0) {
+    return one_request_frequency(model_->frequency_grid(), one_request_,
+                                 deadline_of(queue[0]) - now);
+  }
   const EquivalentQueue equivalents(model_, queue.size(), in_service_done);
   // Feasible(fi): the *average* VP across the queue meets the SLA miss
   // budget at grid frequency fi (section III-A); individual requests may

@@ -14,6 +14,14 @@
 //     compares the observed 95th-percentile latency with the constraint and
 //     steps the frequency up or down. Responds sluggishly to bursts —
 //     exactly the behavior Fig. 12(a) penalizes.
+//
+// The statistical policies (Rubik, Rubik+, EPRONS-Server) decide in one of
+// two ways, with the same result. For one fresh request — nothing in
+// service yet, nothing waiting — both VP rules reduce to VP <= target, so
+// the frequency is the first whose one-request threshold
+// (ServiceModel::one_request_thresholds, built when the policy is made)
+// the deadline margin reaches. Every other queue runs the VP search of
+// section III-C (lowest_feasible_frequency).
 #pragma once
 
 #include <memory>
@@ -34,6 +42,8 @@ class MaxFreqPolicy final : public DvfsPolicy {
 
 struct StatisticalPolicyConfig {
   /// Allowed deadline miss probability: 5% for a 95th-percentile SLA.
+  /// A negative or NaN value makes the policy's constructor throw
+  /// std::invalid_argument.
   double target_vp = 0.05;
 };
 
@@ -67,6 +77,7 @@ class RubikPolicy : public DvfsPolicy {
 
   StatisticalPolicyConfig config_;
   bool use_network_slack_;
+  const std::vector<SimTime>& one_request_;  // the model's, for target_vp
 };
 
 class RubikPlusPolicy final : public RubikPolicy {
@@ -101,6 +112,7 @@ class EpronsServerPolicy final : public DvfsPolicy {
 
   StatisticalPolicyConfig config_;
   EpronsFeatures features_;
+  const std::vector<SimTime>& one_request_;  // as in RubikPolicy
 };
 
 struct TimeTraderConfig {
@@ -172,7 +184,8 @@ Freq lowest_feasible_frequency(const std::vector<Freq>& grid,
 /// Factory by name: "max" | "rubik" | "rubik+" | "eprons" | "timetrader",
 /// plus the ablation variants "eprons-noedf" (no EDF reordering),
 /// "eprons-noslack" (server budget only) and "eprons-maxvp" (max-VP rule,
-/// keeping EDF + slack). Throws std::invalid_argument for unknown names.
+/// keeping EDF + slack). Throws std::invalid_argument for unknown names and,
+/// for the statistical policies, for a negative or NaN target_vp.
 std::unique_ptr<DvfsPolicy> make_policy(const std::string& name,
                                         const ServiceModel* model,
                                         double target_vp = 0.05);

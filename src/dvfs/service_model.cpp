@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace eprons {
@@ -11,6 +13,40 @@ namespace {
 /// us per cycle at frequency f: t = W * ((1-mu)/f + mu/f_max) / 1000.
 double per_cycle_us(double mu, Freq f, Freq f_max) {
   return ((1.0 - mu) / f + mu / f_max) / kCyclesPerUsPerGHz;
+}
+
+/// ServiceModel::one_request_thresholds' table, by bisection.
+std::vector<SimTime> bisect_thresholds(const ServiceModel& model,
+                                       double target_vp) {
+  constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+  const DiscreteDistribution& one = model.fresh_convolution(1);  // read-only
+  std::vector<SimTime> thresholds(model.frequency_grid().size());
+  for (std::size_t fi = 0; fi < thresholds.size(); ++fi) {
+    // The policies' own predicate, at now = 0 so that deadline - now is
+    // dt itself. It only turns from false to true as dt grows.
+    auto meets = [&](SimTime dt) {
+      return model.violation_probability_at(one, 0.0, dt, fi) <= target_vp;
+    };
+    if (meets(-kInf)) {  // VP is at most 1 <= target_vp
+      thresholds[fi] = -kInf;
+      continue;
+    }
+    // Now meets(dt) is false for every dt <= 0 (VP 1) and true at +inf
+    // (VP 0). The bit patterns of the doubles in [+0, +inf] are ordered as
+    // their values, so bisecting them finds the first double that meets.
+    std::uint64_t lo = std::bit_cast<std::uint64_t>(0.0);
+    std::uint64_t hi = std::bit_cast<std::uint64_t>(kInf);
+    while (hi - lo > 1) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (meets(std::bit_cast<SimTime>(mid))) {
+        hi = mid;
+      } else {
+        lo = mid;
+      }
+    }
+    thresholds[fi] = std::bit_cast<SimTime>(hi);
+  }
+  return thresholds;
 }
 
 }  // namespace
@@ -31,6 +67,7 @@ ServiceModel::ServiceModel(DiscreteDistribution work, ServiceModelConfig config)
     per_cycle_us_.push_back(per_cycle_us(mu, grid_.back(), config_.f_max));
   }
   conv_cache_.push_back(work_.truncated(config_.truncate_eps));
+  work_.build_sampling_guide();
 }
 
 SimTime ServiceModel::service_time(Work work, Freq f) const {
@@ -85,6 +122,21 @@ const Spectrum& ServiceModel::work_spectrum(std::size_t n) const {
       work_spectra_.at(static_cast<std::size_t>(std::countr_zero(n)));
   if (spectrum.size() != n) spectrum = real_spectrum(work_.pmf(), n);
   return spectrum;
+}
+
+const std::vector<SimTime>& ServiceModel::one_request_thresholds(
+    double target_vp) const {
+  if (!(target_vp >= 0.0)) {
+    throw std::invalid_argument("target VP must be >= 0");
+  }
+  const std::lock_guard<std::mutex> lock(thresholds_.mutex);
+  for (const auto& [target, table] : thresholds_.tables) {
+    if (target == target_vp) return *table;
+  }
+  thresholds_.tables.emplace_back(
+      target_vp, std::make_unique<const std::vector<SimTime>>(
+                     bisect_thresholds(*this, target_vp)));
+  return *thresholds_.tables.back().second;
 }
 
 }  // namespace eprons

@@ -20,9 +20,17 @@
 // caches that operand's forward spectrum per transform size: each link of
 // the fresh chain and of the arrival-instant residual chain costs one
 // forward and one inverse transform (stats/fft.h).
+//
+// Most decisions in a DES see one fresh request. For those the model keeps,
+// per target VP, the deadline margin at which each grid frequency starts to
+// meet the target (one_request_thresholds), so a policy decides by
+// comparisons instead of evaluating VPs.
 #pragma once
 
 #include <array>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "stats/distribution.h"
@@ -97,6 +105,18 @@ class ServiceModel {
   /// depth uses. References stay valid for the model's lifetime.
   const Spectrum& work_spectrum(std::size_t n) const;
 
+  /// Entry fi is the smallest deadline margin dt = deadline - now at which
+  /// one fresh request meets `target_vp` (>= 0) at grid frequency fi:
+  /// violation_probability_at(fresh_convolution(1), now, deadline, fi) <=
+  /// target_vp holds exactly when dt >= entry fi (docs/DETERMINISM.md).
+  /// Non-increasing along the grid; -inf when every margin meets the target
+  /// (target_vp >= 1). Throws std::invalid_argument for a negative or NaN
+  /// target. Built on the first call per target under a lock that guards
+  /// the tables only: the build reads fresh_convolution(1), so, as there,
+  /// calls from several threads are safe only while no thread grows the
+  /// convolution cache. A table lives as long as the model.
+  const std::vector<SimTime>& one_request_thresholds(double target_vp) const;
+
  private:
   DiscreteDistribution work_;
   ServiceModelConfig config_;
@@ -106,6 +126,16 @@ class ServiceModel {
   // [log2 n] = work spectrum at transform size n (empty until used); a
   // fixed array so growing one size never moves another.
   mutable std::array<Spectrum, 48> work_spectra_;
+  // One-request threshold tables by target VP; a built table never moves.
+  // A copy of the model starts with none: they are derived data.
+  struct ThresholdCache {
+    ThresholdCache() = default;
+    ThresholdCache(const ThresholdCache&) {}
+    std::mutex mutex;
+    std::vector<std::pair<double, std::unique_ptr<const std::vector<SimTime>>>>
+        tables;
+  };
+  mutable ThresholdCache thresholds_;
 };
 
 }  // namespace eprons

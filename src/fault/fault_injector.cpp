@@ -7,15 +7,6 @@
 
 namespace eprons {
 
-const char* fault_type_name(FaultType type) {
-  switch (type) {
-    case FaultType::SwitchCrash: return "switch_crash";
-    case FaultType::LinkDown: return "link_down";
-    case FaultType::LinkFlap: return "link_flap";
-  }
-  return "?";
-}
-
 namespace {
 
 void push_transitions(const FaultEvent& e,

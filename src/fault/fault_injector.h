@@ -29,8 +29,6 @@ enum class FaultType {
   LinkFlap,     // a flaky link: several short outages in quick succession
 };
 
-const char* fault_type_name(FaultType type);
-
 /// One injected fault: the element goes down at `time` and is repaired at
 /// `repair`. Exactly one of `node`/`link` is valid, keyed by `type`.
 struct FaultEvent {

@@ -6,18 +6,6 @@
 
 namespace eprons::lp {
 
-const char* solve_status_name(SolveStatus status) {
-  switch (status) {
-    case SolveStatus::Optimal: return "optimal";
-    case SolveStatus::Infeasible: return "infeasible";
-    case SolveStatus::Unbounded: return "unbounded";
-    case SolveStatus::IterationLimit: return "iteration-limit";
-    case SolveStatus::NodeLimit: return "node-limit";
-    case SolveStatus::FeasibleIncumbent: return "feasible-incumbent";
-  }
-  return "?";
-}
-
 int Model::add_variable(std::string name, double lower, double upper,
                         double objective, bool is_integer) {
   if (lower > upper) throw std::invalid_argument("variable bounds crossed");

@@ -97,8 +97,6 @@ enum class SolveStatus {
   FeasibleIncumbent,
 };
 
-const char* solve_status_name(SolveStatus status);
-
 struct Solution {
   SolveStatus status = SolveStatus::Infeasible;
   std::vector<double> x;

@@ -87,21 +87,6 @@ double LinkUtilization::max_utilization() const {
   return worst;
 }
 
-double LinkUtilization::mean_active_utilization() const {
-  double total = 0.0;
-  int active = 0;
-  for (const Link& link : graph_->links()) {
-    for (bool fwd : {true, false}) {
-      const Bandwidth load = load_[slot(link.id, fwd)];
-      if (load > 0.0) {
-        total += load / link.capacity;
-        ++active;
-      }
-    }
-  }
-  return active == 0 ? 0.0 : total / active;
-}
-
 int LinkUtilization::active_directed_links() const {
   int active = 0;
   for (const Bandwidth load : load_) {

@@ -43,8 +43,6 @@ class LinkUtilization {
 
   /// Highest directed utilization anywhere.
   double max_utilization() const;
-  /// Mean utilization over links with nonzero load.
-  double mean_active_utilization() const;
   /// Number of directed links with nonzero load.
   int active_directed_links() const;
 

@@ -4,17 +4,25 @@
 // increasing sequence number breaks ties), which keeps runs deterministic
 // for a fixed seed — a hard requirement for reproducible experiments.
 //
-// Storage. The heap holds 24-byte POD entries {when, seq, slot}; each
-// event's callable lives in a slab cell `slot` with its invoke and destroy
-// thunks and kInlineCapture bytes of inline storage, so scheduling never
+// Storage. The heap is a 4-ary min-heap (the children of entry i sit at
+// 4i+1 ... 4i+4) of 24-byte POD entries {when bits, seq, slot}. Entries
+// compare by one unsigned 128-bit key, the bit pattern of `when` above
+// `seq`: after the past-time clamp `when` is never negative, and -0.0 is
+// stored as +0.0, so the bit order of `when` is its value order (+inf
+// last). (std::push_heap/std::pop_heap over the same key, a binary heap,
+// made perfbench's serve-overload ~8% slower end to end.) Each event's
+// callable lives in a slab cell `slot` with its invoke and destroy thunks
+// and kInlineCapture bytes of inline storage, so scheduling never
 // allocates once the slab has grown to the run's peak. A callable larger
 // than a cell does not compile (there is no heap fallback). Cells come in
 // fixed-size chunks that never move, so a running callback may schedule
 // more events; its own cell is released after it returns or throws. The
 // pop order depends only on (when, seq), a strict total order, never on
-// which cell an event occupies (docs/DETERMINISM.md).
+// the heap's shape or on which cell an event occupies
+// (docs/DETERMINISM.md).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -45,7 +53,8 @@ class EventQueue {
 
   /// Schedules `callback` (any void() callable of at most kInlineCapture
   /// bytes) at absolute time `when`. Earlier times run at now(); those
-  /// earlier by more than round-off are counted (clamped()).
+  /// earlier by more than round-off are counted (clamped()). -0.0 runs at
+  /// +0.0. `when` must not be NaN.
   template <typename F>
   void schedule(SimTime when, F&& callback);
   /// Schedules `callback` `delay` after now (a negative delay runs now).
@@ -75,16 +84,15 @@ class EventQueue {
   void run_all();
 
  private:
+  using Key = unsigned __int128;  // a GCC/Clang builtin
+
   struct Entry {
-    SimTime when;
+    std::uint64_t when;  // bit pattern of a time >= +0.0
     std::uint64_t seq;
     std::uint32_t slot;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+
+    Key key() const { return Key{when} << 64 | seq; }
+    SimTime time() const { return std::bit_cast<SimTime>(when); }
   };
   struct Cell {
     alignas(std::max_align_t) unsigned char storage[kInlineCapture];
@@ -119,8 +127,10 @@ class EventQueue {
   void grow();
   void push(SimTime when, std::uint32_t slot);
 
-  // A binary heap under Later (std::push_heap / std::pop_heap).
-  std::vector<Entry> heap_;
+  /// Removes the root: the last entry sifts down from the top.
+  void pop_root();
+
+  std::vector<Entry> heap_;  // 4-ary min-heap by Entry::key()
   std::vector<std::unique_ptr<Cell[]>> chunks_;
   std::vector<std::uint32_t> free_;  // free cell slots, reused last-in first
   SimTime now_ = 0.0;

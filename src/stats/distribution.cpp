@@ -1,6 +1,7 @@
 #include "stats/distribution.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -81,8 +82,6 @@ double DiscreteDistribution::variance() const {
   return v;
 }
 
-double DiscreteDistribution::stddev() const { return std::sqrt(variance()); }
-
 double DiscreteDistribution::cdf(double x) const {
   if (pmf_.empty()) return 0.0;
   if (x < offset_) return 0.0;
@@ -156,13 +155,41 @@ DiscreteDistribution DiscreteDistribution::truncated(double eps) const {
 }
 
 double DiscreteDistribution::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  auto idx = static_cast<std::size_t>(it - cdf_.begin());
-  if (idx >= pmf_.size()) idx = pmf_.size() - 1;
+  const std::size_t idx = bin_at(rng.uniform());
   const double base = offset_ + static_cast<double>(idx) * step_;
   // Jitter within the bin so sampled values are not quantized to the grid.
   return base + (rng.uniform() - 0.5) * step_;
+}
+
+// The CDF is partitioned at every u in [0, 1): its entries below u come
+// first, since the running sum never falls and the last entry is pinned to
+// 1 > u. So the first entry >= u is lower_bound's answer, and it is at or
+// after the first entry >= k/M for any k/M <= u.
+std::size_t DiscreteDistribution::bin_at(double u) const {
+  if (guide_.empty()) {
+    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    return std::min(static_cast<std::size_t>(it - cdf_.begin()),
+                    pmf_.size() - 1);
+  }
+  // u * M is exact for a power-of-two M, so k is floor(u * M).
+  const auto k =
+      static_cast<std::size_t>(u * static_cast<double>(guide_.size()));
+  std::size_t i = guide_[k];
+  while (cdf_[i] < u) ++i;
+  return i;
+}
+
+void DiscreteDistribution::build_sampling_guide() {
+  if (pmf_.empty()) return;
+  const std::size_t m = std::bit_ceil(pmf_.size());
+  const double inv_m = 1.0 / static_cast<double>(m);  // exact
+  guide_.resize(m);
+  std::size_t i = 0;
+  for (std::size_t k = 0; k < m; ++k) {
+    const double u = static_cast<double>(k) * inv_m;  // exact, below 1
+    while (cdf_[i] < u) ++i;
+    guide_[k] = static_cast<std::uint32_t>(i);
+  }
 }
 
 }  // namespace eprons

@@ -102,18 +102,17 @@ void select_ranks(std::span<const double> values,
   }
 }
 
-void PercentileEstimator::add(double sample) {
-  samples_.push_back(sample);
-  sorted_ = false;
-}
+void PercentileEstimator::add(double sample) { samples_.push_back(sample); }
 
 double PercentileEstimator::quantile(double p) const {
   if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  return samples_[nearest_rank(samples_.size(), p) - 1];
+  // One rank per call: select_ranks gathers every bucket between its
+  // lowest and highest rank, which for p50 and p99 together is half the
+  // samples.
+  const std::size_t rank = nearest_rank(samples_.size(), p);
+  double out = 0.0;
+  select_ranks(samples_, {&rank, 1}, {&out, 1});
+  return out;
 }
 
 double PercentileEstimator::mean() const {
@@ -133,10 +132,7 @@ double PercentileEstimator::min() const {
   return *std::min_element(samples_.begin(), samples_.end());
 }
 
-void PercentileEstimator::clear() {
-  samples_.clear();
-  sorted_ = true;
-}
+void PercentileEstimator::clear() { samples_.clear(); }
 
 WindowedPercentile::WindowedPercentile(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
@@ -176,8 +172,6 @@ void OnlineStats::add(double sample) {
 double OnlineStats::variance() const {
   return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
 }
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 double OnlineStats::min() const { return count_ ? min_ : 0.0; }
 double OnlineStats::max() const { return count_ ? max_ : 0.0; }

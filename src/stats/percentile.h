@@ -30,8 +30,10 @@ std::size_t nearest_rank(std::size_t n, double p);
 void select_ranks(std::span<const double> values,
                   std::span<const std::size_t> ranks, std::span<double> out);
 
-/// Exact percentile over all recorded samples. O(1) insert; quantile queries
-/// sort lazily. Suitable for end-of-run reporting.
+/// Exact percentile over all recorded samples. O(1) insert; a quantile query
+/// selects its rank (select_ranks) and never reorders the samples, so
+/// mean() sums them in insertion order whenever it is called. Suitable for
+/// end-of-run reporting.
 class PercentileEstimator {
  public:
   void add(double sample);
@@ -48,8 +50,7 @@ class PercentileEstimator {
   const std::vector<double>& samples() const { return samples_; }
 
  private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  std::vector<double> samples_;
 };
 
 /// Sliding-window percentile over the most recent `capacity` samples;
@@ -76,7 +77,6 @@ class OnlineStats {
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
   double variance() const;
-  double stddev() const;
   double min() const;
   double max() const;
   void clear();

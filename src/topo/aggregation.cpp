@@ -52,14 +52,6 @@ AggregationPolicy AggregationPolicies::policy(int level) const {
   return out;
 }
 
-std::vector<AggregationPolicy> AggregationPolicies::all() const {
-  std::vector<AggregationPolicy> out;
-  for (int level = 0; level <= max_level(); ++level) {
-    out.push_back(policy(level));
-  }
-  return out;
-}
-
 int count_active_switches(const Graph& graph,
                           const std::vector<bool>& switch_on) {
   int count = 0;

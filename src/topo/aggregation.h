@@ -34,9 +34,6 @@ class AggregationPolicies {
   /// Builds the ON/OFF switch mask for `level`. Throws on out-of-range.
   AggregationPolicy policy(int level) const;
 
-  /// All levels 0..max_level().
-  std::vector<AggregationPolicy> all() const;
-
  private:
   const FatTree* topo_;
 };

@@ -82,11 +82,6 @@ NodeId FatTree::core(int row, int col) const {
       .at(static_cast<std::size_t>(col));
 }
 
-NodeId FatTree::core_flat(int index) const {
-  const int half = k_ / 2;
-  return core(index / half, index % half);
-}
-
 std::vector<bool> FatTree::pod_switch_mask(int pod) const {
   std::vector<bool> mask(static_cast<std::size_t>(graph_.num_nodes()), false);
   for (NodeId e : edges_.at(static_cast<std::size_t>(pod))) {

@@ -42,7 +42,6 @@ class FatTree final : public Topology {
   NodeId agg(int pod, int index) const;
   /// Core grid accessors: row = which agg it uplinks, col = replica.
   NodeId core(int row, int col) const;
-  NodeId core_flat(int index) const;  // index in [0, num_core)
 
   /// Hosts under one pod's k/2 edge switches: (k/2)^2.
   int hosts_per_pod() const { return (k_ / 2) * (k_ / 2); }

@@ -5,16 +5,6 @@
 
 namespace eprons {
 
-const char* node_type_name(NodeType type) {
-  switch (type) {
-    case NodeType::Host: return "host";
-    case NodeType::EdgeSwitch: return "edge";
-    case NodeType::AggSwitch: return "agg";
-    case NodeType::CoreSwitch: return "core";
-  }
-  return "?";
-}
-
 bool is_switch_type(NodeType type) { return type != NodeType::Host; }
 
 NodeId Graph::add_node(NodeType type, int pod, int index, std::string name) {

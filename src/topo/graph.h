@@ -14,7 +14,6 @@ namespace eprons {
 
 enum class NodeType { Host, EdgeSwitch, AggSwitch, CoreSwitch };
 
-const char* node_type_name(NodeType type);
 bool is_switch_type(NodeType type);
 
 struct Node {

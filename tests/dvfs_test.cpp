@@ -5,8 +5,12 @@
 // the average miss budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <thread>
 
 #include "dvfs/equivalent_queue.h"
@@ -464,6 +468,153 @@ TEST(LowestFeasibleFrequency, IndexedSearchMatchesFrequencyValuedSearch) {
         }
       }
     }
+  }
+}
+
+// ---- One fresh request: threshold tables ----
+
+constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+
+const char* const kStatisticalPolicies[] = {
+    "rubik", "rubik+", "eprons", "eprons-noedf", "eprons-noslack",
+    "eprons-maxvp"};
+
+bool meets(const ServiceModel& model, SimTime dt, std::size_t fi,
+           double target_vp) {
+  return model.violation_probability_at(model.fresh_convolution(1), 0.0, dt,
+                                        fi) <= target_vp;
+}
+
+TEST(OneRequestThresholds, PredicateTurnsExactlyAtEachThreshold) {
+  const ServiceModel model = test_model();
+  const std::size_t n = model.frequency_grid().size();
+  for (const double target : {0.01, 0.05, 0.5, 1.0}) {
+    const std::vector<SimTime>& t = model.one_request_thresholds(target);
+    ASSERT_EQ(t.size(), n);
+    EXPECT_EQ(&model.one_request_thresholds(target), &t);  // built once
+    for (std::size_t fi = 0; fi < n; ++fi) {
+      if (fi > 0) {
+        EXPECT_LE(t[fi], t[fi - 1]) << target << " fi " << fi;
+      }
+      if (target >= 1.0) {
+        EXPECT_EQ(t[fi], -kInf);
+        EXPECT_TRUE(meets(model, -kInf, fi, target));
+        continue;
+      }
+      ASSERT_GT(t[fi], 0.0);
+      ASSERT_LT(t[fi], kInf);
+      EXPECT_TRUE(meets(model, t[fi], fi, target)) << target << " fi " << fi;
+      EXPECT_TRUE(meets(model, std::nextafter(t[fi], kInf), fi, target));
+      EXPECT_FALSE(meets(model, std::nextafter(t[fi], -kInf), fi, target))
+          << target << " fi " << fi;
+      EXPECT_FALSE(meets(model, 0.0, fi, target));
+    }
+  }
+  EXPECT_THROW(model.one_request_thresholds(-0.01), std::invalid_argument);
+  EXPECT_THROW(model.one_request_thresholds(std::nan("")),
+               std::invalid_argument);
+}
+
+// Every statistical policy decides one fresh request as the frequency-valued
+// search does: at 10^5 seeded margins around and away from the thresholds,
+// at each threshold and its two neighbouring doubles, and at margins <= 0.
+TEST(OneRequestThresholds, DecisionsMatchReferenceSearch) {
+  const ServiceModel model = test_model();
+  for (const double target : {0.01, 0.05, 0.5, 1.0}) {
+    const std::vector<SimTime>& t = model.one_request_thresholds(target);
+    // (now, server margin, extra slack): boundary cases at now = 0 and no
+    // slack, so that each policy's margin is exactly the listed double.
+    std::vector<std::array<SimTime, 3>> cases;
+    for (const SimTime x : t) {
+      for (const SimTime dt : {std::nextafter(x, -kInf), x,
+                               std::nextafter(x, kInf)}) {
+        cases.push_back({0.0, dt, 0.0});
+      }
+    }
+    for (const SimTime dt : {0.0, -0.0, -1.0, -ms(3.0), -kInf, kInf}) {
+      cases.push_back({0.0, dt, 0.0});
+      cases.push_back({ms(7.0), dt, 0.0});
+    }
+    SimTime lo = kInf;
+    SimTime hi = 0.0;
+    for (const SimTime x : t) {
+      if (x > 0.0) {
+        lo = std::min(lo, x);
+        hi = std::max(hi, x);
+      }
+    }
+    Rng rng(77);
+    for (int i = 0; i < 100000; ++i) {
+      const SimTime now = rng.uniform(0.0, ms(100.0));
+      const SimTime dt = i % 2 == 0 && lo < kInf
+                             ? rng.uniform(0.9 * lo, 1.1 * hi)
+                             : rng.uniform(-ms(5.0), ms(120.0));
+      cases.push_back({now, dt, i % 3 == 0 ? 0.0 : rng.uniform(0.0, ms(6.0))});
+    }
+    for (const char* name : kStatisticalPolicies) {
+      const auto policy = make_policy(name, &model, target);
+      for (const auto& [now, dt, slack] : cases) {
+        const QueuedRequest r =
+            make_request(1, now, now + dt, now + dt + slack);
+        const std::span<const QueuedRequest> view(&r, 1);
+        const Freq got = policy->select_frequency(now, view, 0.0);
+        const Freq want = reference_select(name, model, now, view, 0.0, target);
+        ASSERT_EQ(got, want) << name << " target " << target << " now "
+                             << now << " dt " << dt << " slack " << slack;
+      }
+    }
+  }
+}
+
+// A negative or NaN miss budget is invalid input for every statistical
+// policy; the policies that ignore the budget still accept it.
+TEST(OneRequestThresholds, NegativeOrNanTargetIsRejected) {
+  const ServiceModel model = test_model();
+  for (const char* name : kStatisticalPolicies) {
+    for (const double target : {-0.01, -kInf, std::nan("")}) {
+      EXPECT_THROW(make_policy(name, &model, target), std::invalid_argument)
+          << name << " target " << target;
+    }
+  }
+  EXPECT_NO_THROW(make_policy("max", &model, -0.01));
+  EXPECT_NO_THROW(make_policy("timetrader", &model, std::nan("")));
+}
+
+// Policies for one model made from several threads at once (run under TSan
+// in CI): each target's table is built once, under the model's lock, and
+// every thread's policies decide alike.
+TEST(OneRequestThresholds, ConcurrentPolicyConstructionSharesOneTable) {
+  const ServiceModel model = test_model();
+  constexpr int kThreads = 4;
+  const double targets[] = {0.01, 0.05, 0.5, 1.0};
+  std::vector<std::vector<const std::vector<SimTime>*>> tables(kThreads);
+  std::vector<std::vector<Freq>> decisions(kThreads);
+  std::vector<std::thread> makers;
+  for (int th = 0; th < kThreads; ++th) {
+    makers.emplace_back([&, th] {
+      for (int rep = 0; rep < 3; ++rep) {
+        for (const double target : targets) {
+          for (const char* name : kStatisticalPolicies) {
+            const auto policy = make_policy(name, &model, target);
+            for (int i = 0; i < 40; ++i) {
+              const SimTime dt = ms(0.5 * i) - ms(1.0);
+              const QueuedRequest r = make_request(1, 0.0, dt, dt + ms(1.0));
+              decisions[th].push_back(policy->select_frequency(
+                  0.0, std::span<const QueuedRequest>(&r, 1), 0.0));
+            }
+          }
+          tables[th].push_back(&model.one_request_thresholds(target));
+        }
+      }
+    });
+  }
+  for (std::thread& maker : makers) maker.join();
+  for (int th = 1; th < kThreads; ++th) {
+    EXPECT_EQ(tables[th], tables[0]);
+    EXPECT_EQ(decisions[th], decisions[0]);
+  }
+  for (std::size_t i = 0; i < std::size(targets); ++i) {
+    EXPECT_EQ(tables[0][i], &model.one_request_thresholds(targets[i]));
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "lp/branch_and_bound.h"
 #include "lp/model.h"
@@ -296,6 +297,34 @@ TEST(Model, WriteLpHandlesFreeAndUnboundedVars) {
   std::ostringstream os;
   m.write_lp(os);
   EXPECT_NE(os.str().find("-inf <= free <= +inf"), std::string::npos);
+}
+
+TEST(Model, RejectsVariableIndexOnePastTheLast) {
+  Model m(Sense::Minimize);
+  const int x = m.add_variable("x", 0.0, 1.0, 1.0);
+  const int row = m.add_row("r", RowType::LessEqual, 1.0);
+  const int past = m.num_variables();
+  EXPECT_THROW(m.add_coeff(row, past, 1.0), std::out_of_range);
+  EXPECT_THROW(m.add_row("s", RowType::LessEqual, 1.0, {{past, 1.0}}),
+               std::out_of_range);
+  EXPECT_THROW(m.add_row("t", RowType::LessEqual, 1.0, {{x, 1.0}, {past, 1.0}}),
+               std::out_of_range);
+  m.add_coeff(row, x, 1.0);  // the last valid index is accepted
+  EXPECT_EQ(m.add_row("u", RowType::LessEqual, 1.0, {{x, 1.0}}), 1);
+}
+
+TEST(Model, FeasibilityRejectsEitherBoundAlone) {
+  // No rows, so only the bound check can reject a point.
+  Model m(Sense::Minimize);
+  m.add_variable("x", 1.0, 2.0, 1.0);
+  m.add_variable("y", -1.0, 1.0, 1.0);
+  const double tol = 1e-6;
+  EXPECT_TRUE(m.is_feasible({1.5, 0.0}, tol));
+  EXPECT_TRUE(m.is_feasible({1.0 - tol / 2, 1.0 + tol / 2}, tol));
+  EXPECT_FALSE(m.is_feasible({0.5, 0.0}, tol));  // below x's lower bound only
+  EXPECT_FALSE(m.is_feasible({2.5, 0.0}, tol));  // above x's upper bound only
+  EXPECT_FALSE(m.is_feasible({1.5, -1.0 - 2 * tol}, tol));
+  EXPECT_FALSE(m.is_feasible({1.5, 1.0 + 2 * tol}, tol));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -233,6 +234,117 @@ TEST(EventQueue, FireOrderMatchesReferenceHeapQueue) {
       ASSERT_EQ(got[i], want[i]) << "seed " << seed << " entry " << i;
     }
   }
+}
+
+/// The times Cascade never schedules, on either queue: bursts at one time,
+/// -0.0 and +0.0 at time 0, +inf, and times already past (run at now()).
+/// After a few finite boundaries, step() fires the rest, the +inf events
+/// last. The log holds (id, now) per event, then (pending, now) per
+/// boundary; -0.0 == +0.0, so a time-0 event logs equal either way.
+template <typename Queue>
+class EdgeCascade {
+ public:
+  static constexpr std::uint64_t kEvents = 100000;
+
+  explicit EdgeCascade(std::uint64_t seed) : rng_(seed) {}
+
+  std::vector<std::pair<double, double>> run() {
+    for (int i = 0; i < 400; ++i) add(i % 2 == 0 ? -0.0 : 0.0, i % 3 == 0);
+    for (int i = 0; i < 40; ++i) add(kInf, i % 2 == 0);
+    for (int i = 0; i < 600; ++i) {
+      add(std::floor(rng_.uniform(0.0, 30.0)), false);
+    }
+    std::vector<std::pair<double, double>> boundaries;
+    SimTime end = 0.0;
+    for (int round = 0; round < 300 && queue_.pending() > 0; ++round) {
+      end += std::floor(rng_.uniform(0.0, 6.0));
+      queue_.run_until(end);
+      boundaries.emplace_back(static_cast<double>(queue_.pending()),
+                              queue_.now());
+    }
+    while (queue_.step()) {
+    }
+    boundaries.emplace_back(static_cast<double>(queue_.pending()),
+                            queue_.now());
+    EXPECT_EQ(scheduled_, kEvents);
+    EXPECT_EQ(log_.size(), kEvents);
+    EXPECT_EQ(queue_.now(), kInf);
+    log_.insert(log_.end(), boundaries.begin(), boundaries.end());
+    return log_;
+  }
+
+ private:
+  static constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+
+  void add(SimTime when, bool relative) {
+    if (scheduled_ == kEvents) return;
+    const std::uint64_t id = scheduled_++;
+    auto fire_id = [this, id] { fire(id); };
+    if (relative) {
+      queue_.schedule_in(when - queue_.now(), fire_id);
+    } else {
+      queue_.schedule(when, fire_id);
+    }
+  }
+
+  void fire(std::uint64_t id) {
+    log_.emplace_back(static_cast<double>(id), queue_.now());
+    const SimTime now = queue_.now();
+    const bool relative = rng_.uniform() < 0.5;
+    switch (rng_.uniform_int(0, 7)) {
+      case 0:  // a burst at one time
+        for (int i = 0; i < 6; ++i) {
+          add(now + std::floor(rng_.uniform(0.0, 2.0)), relative);
+        }
+        break;
+      case 1:  // already past: runs at now()
+        add(now - std::floor(rng_.uniform(1.0, 9.0)), relative);
+        add(now - 0.5, relative);
+        break;
+      case 2:  // -0.0 and +0.0: past unless now() is 0
+        add(-0.0, relative);
+        add(0.0, relative);
+        break;
+      case 3:
+        if (rng_.uniform() < 0.02) add(kInf, relative);
+        break;
+      default:
+        add(now, relative);
+        add(now + std::floor(rng_.uniform(1.0, 8.0)), relative);
+        break;
+    }
+  }
+
+  Queue queue_;
+  Rng rng_;
+  std::uint64_t scheduled_ = 0;
+  std::vector<std::pair<double, double>> log_;
+};
+
+TEST(EventQueue, EdgeTimesFireInReferenceOrder) {
+  for (const std::uint64_t seed : {4u, 5u}) {
+    const auto got = EdgeCascade<EventQueue>(seed).run();
+    const auto want = EdgeCascade<ReferenceQueue>(seed).run();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " entry " << i;
+    }
+  }
+}
+
+TEST(EventQueue, NegativeZeroRunsAsPositiveZeroInSchedulingOrder) {
+  EventQueue events;
+  std::vector<int> order;
+  events.schedule(0.0, [&] { order.push_back(0); });
+  events.schedule(-0.0, [&] { order.push_back(1); });
+  events.schedule(0.0, [&] { order.push_back(2); });
+  events.schedule(-0.0, [&] {
+    order.push_back(3);
+    EXPECT_FALSE(std::signbit(events.now()));
+  });
+  events.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(events.clamped(), 0u);
 }
 
 ServiceModel sim_model(std::uint64_t seed = 21) {

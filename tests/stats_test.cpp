@@ -257,6 +257,88 @@ TEST(Distribution, SampleStaysOnSupportAndMatchesMean) {
   EXPECT_NEAR(total / n, d.mean(), 0.05);
 }
 
+// The CDF a distribution keeps, by its own running sum over the normalized
+// masses, and the bin a draw took before the sampling guide: lower_bound.
+std::vector<double> cdf_of(const DiscreteDistribution& d) {
+  std::vector<double> cdf(d.size());
+  double acc = 0.0;
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    acc += d.pmf()[i];
+    cdf[i] = acc;
+  }
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+std::size_t lower_bound_bin(const std::vector<double>& cdf, double u) {
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return std::min(static_cast<std::size_t>(it - cdf.begin()), cdf.size() - 1);
+}
+
+std::vector<DiscreteDistribution> guide_cases() {
+  std::vector<double> gappy(1000, 0.0);  // long flat CDF runs, 1000 bins
+  Rng rng(9);
+  for (int i = 0; i < 300; ++i) {
+    gappy[static_cast<std::size_t>(rng.uniform_int(0, 999))] += rng.uniform();
+  }
+  return {DiscreteDistribution(1.5e6, 2.5e4, golden_work_pmf()),
+          DiscreteDistribution(0.0, 1.0, std::move(gappy)),
+          make_uniform(10.0, 0.5, 3),
+          // CDF entries k/4 and k/8: exactly on the guide's boundaries.
+          make_uniform(0.0, 1.0, 4),
+          DiscreteDistribution(0.0, 1.0,
+                               {1.0, 0.0, 2.0, 1.0, 0.0, 0.0, 3.0, 1.0}),
+          DiscreteDistribution::point_mass(4.0, 1.0)};
+}
+
+TEST(Distribution, GuidedBinIsLowerBoundAtEveryBoundary) {
+  for (const DiscreteDistribution& plain : guide_cases()) {
+    DiscreteDistribution guided = plain;
+    guided.build_sampling_guide();
+    const std::vector<double> cdf = cdf_of(plain);
+    // Every k / 2^13 covers the guide's k / M for any M up to 2^13; then
+    // each CDF entry below 1; each with its neighbouring doubles.
+    std::vector<double> us;
+    for (int k = 0; k < 8192; ++k) us.push_back(k / 8192.0);
+    for (const double c : cdf) {
+      if (c < 1.0) us.push_back(c);
+    }
+    const std::size_t exact = us.size();
+    for (std::size_t i = 0; i < exact; ++i) {
+      us.push_back(std::nextafter(us[i], 1.0));
+      if (us[i] > 0.0) us.push_back(std::nextafter(us[i], 0.0));
+    }
+    for (const double u : us) {
+      ASSERT_LT(u, 1.0);
+      const std::size_t want = lower_bound_bin(cdf, u);
+      ASSERT_EQ(guided.bin_at(u), want) << "size " << plain.size() << " u "
+                                        << u;
+      ASSERT_EQ(plain.bin_at(u), want) << "size " << plain.size() << " u "
+                                       << u;
+    }
+  }
+}
+
+TEST(Distribution, GuidedDrawsMatchLowerBoundDrawsBitForBit) {
+  for (const DiscreteDistribution& plain : guide_cases()) {
+    DiscreteDistribution guided = plain;
+    guided.build_sampling_guide();
+    const std::vector<double> cdf = cdf_of(plain);
+    Rng rng(31);
+    Rng reference(31);
+    for (int i = 0; i < 1000000; ++i) {
+      const double got = guided.sample(rng);
+      const std::size_t idx = lower_bound_bin(cdf, reference.uniform());
+      const double base =
+          plain.offset() + static_cast<double>(idx) * plain.step();
+      const double want = base + (reference.uniform() - 0.5) * plain.step();
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "size " << plain.size() << " draw " << i;
+    }
+  }
+}
+
 // Property sweep: CCDF evaluated through equation (1) style lookups is
 // monotone non-increasing in frequency for any deadline.
 class DistributionVpProperty : public ::testing::TestWithParam<double> {};
@@ -305,6 +387,32 @@ TEST(Percentile, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(p.quantile(0.5), 5.0);
   EXPECT_DOUBLE_EQ(p.max(), 9.0);
   EXPECT_DOUBLE_EQ(p.min(), 1.0);
+}
+
+TEST(Percentile, QuantilesLeaveSamplesInInsertionOrder) {
+  PercentileEstimator p;
+  Rng rng(8);
+  for (int i = 0; i < 5000; ++i) {
+    p.add(rng.lognormal(0.0, 2.0) * (i % 7 == 0 ? 1e6 : 1.0));
+  }
+  const std::vector<double> inserted = p.samples();
+  const double mean_before = p.mean();
+  std::vector<double> sorted = inserted;
+  std::sort(sorted.begin(), sorted.end());
+  // A mean summed in sorted order has other bits on these samples, so a
+  // quantile that sorted them in place would show in mean().
+  double sorted_total = 0.0;
+  for (const double x : sorted) sorted_total += x;
+  ASSERT_NE(sorted_total / static_cast<double>(sorted.size()), mean_before);
+
+  for (const double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+    const double want = sorted[nearest_rank(sorted.size(), q) - 1];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p.quantile(q)),
+              std::bit_cast<std::uint64_t>(want)) << "p " << q;
+  }
+  EXPECT_EQ(p.samples(), inserted);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(p.mean()),
+            std::bit_cast<std::uint64_t>(mean_before));
 }
 
 TEST(WindowedPercentile, ForgetsOldSamples) {

@@ -6,20 +6,19 @@
 // previous epoch (flow/demand_delta.h), re-evaluates only the previous
 // epoch's K with the consolidator warm-started from the previous routing,
 // and short-circuits the full K sweep when that single candidate stays
-// feasible. Evaluated plans land in the PlanCache, so replaying a demand
-// level is a pure cache hit.
+// feasible.
 //
-// This bench drives a sequence of low-churn epochs through three planners
+// This bench drives a sequence of low-churn epochs through two planners
 // and checks, per epoch, that the warm plan equals the cold plan exactly
 // (same K, same switch set, same predicted power — the regression bound at
 // work) while being >= `--min-speedup` (default 3) times faster at the
 // median. (The bar was 5x against the pre-fast-path cold sweep; the cold
 // baseline is now ~6x faster itself, so 1 warm candidate vs 9 batched cold
-// candidates lands near 4.5-5x — the bar guards the warm path's own
-// regressions, not the old baseline.) The `cached` row replays the same
-// epochs against the already-filled cache. All rows are bit-identical for
-// any --threads value; CI's tools/check_trajectory.py diffs the
-// --json --no-timing output across thread counts.
+// candidates lands near 3.5-5x — the bar guards the warm path's own
+// regressions, not the old baseline.) Both passes time each epoch
+// best-of-`--reps`. All rows are bit-identical for any --threads value;
+// CI's tools/check_trajectory.py diffs the --json --no-timing output
+// across thread counts.
 //
 //   ./bench_micro_incremental_planner [--epochs=10] [--flows=48]
 //       [--samples=400] [--reps=3] [--min-speedup=3] [--no-timing]
@@ -122,7 +121,7 @@ int main(int argc, char** argv) {
   const double min_speedup = cli.get_double("min-speedup", 3.0);
   const bool no_timing = cli.has_flag("no-timing");
   bench::print_header(
-      "Micro — incremental epoch planning (warm-start + plan cache)",
+      "Micro — incremental epoch planning (warm start)",
       "n/a (implementation microbenchmark: identical plans to the cold "
       "K sweep on ~1%-churn epochs, >=3x faster at the median)");
 
@@ -143,28 +142,20 @@ int main(int argc, char** argv) {
   const ModeResult cold =
       run_epochs(cold_opt, epoch_flows, utilization, /*warm=*/false, reps);
 
-  // The warm pass times each epoch exactly once: a repeat of the same epoch
-  // would hit the plan cache and measure cache lookups, not warm packing
-  // (that is the `cached` row's job).
   JointOptimizerConfig warm_cfg = config;
   warm_cfg.incremental.enabled = true;
   const JointOptimizer warm_opt = scn.optimizer(warm_cfg);
   const ModeResult warm =
-      run_epochs(warm_opt, epoch_flows, utilization, /*warm=*/true, 1);
-  // Replay against the now-filled PlanCache: every epoch is a cache hit.
-  const ModeResult cached =
       run_epochs(warm_opt, epoch_flows, utilization, /*warm=*/true, reps);
 
   // Per-epoch equality: the incremental plan must match the cold sweep's.
   bool all_identical = true;
   int kept_epochs = 0;
   for (int e = 0; e < epochs; ++e) {
-    const bool same =
+    all_identical =
+        all_identical &&
         plans_identical(cold.plans[static_cast<std::size_t>(e)],
-                        warm.plans[static_cast<std::size_t>(e)]) &&
-        plans_identical(cold.plans[static_cast<std::size_t>(e)],
-                        cached.plans[static_cast<std::size_t>(e)]);
-    all_identical = all_identical && same;
+                        warm.plans[static_cast<std::size_t>(e)]);
     if (warm.plans[static_cast<std::size_t>(e)].placement.warm_started) {
       ++kept_epochs;
     }
@@ -177,13 +168,10 @@ int main(int argc, char** argv) {
   };
   const double cold_ms = steady(cold.epoch_ms);
   const double warm_ms = steady(warm.epoch_ms);
-  const double cached_ms = steady(cached.epoch_ms);
   const double warm_speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
-  const double cached_speedup = cached_ms > 0.0 ? cold_ms / cached_ms : 0.0;
 
   const JointPlan& last_cold = cold.plans.back();
   const JointPlan& last_warm = warm.plans.back();
-  const JointPlan& last_cached = cached.plans.back();
 
   Table table({"mode", "median_ms", "speedup", "K", "total_W", "switches",
                "warm_epochs", "plans_match"});
@@ -198,7 +186,6 @@ int main(int argc, char** argv) {
   };
   row("cold", cold_ms, 1.0, last_cold, 0);
   row("warm", warm_ms, warm_speedup, last_warm, kept_epochs);
-  row("cached", cached_ms, cached_speedup, last_cached, kept_epochs);
   table.print(std::cout, fmt);
 
   if (!all_identical) {

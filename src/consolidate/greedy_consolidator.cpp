@@ -30,9 +30,6 @@ struct Packer {
   /// Residual usable capacity per directed arc (2 slots per link).
   std::vector<Bandwidth> residual;
   bool overloaded = false;
-  /// Set when !best_effort_overflow and a flow could not be placed; the
-  /// caller returns an infeasible result with cleared paths.
-  bool aborted = false;
   /// Scratch skip-mask over one pair's catalog paths (reused per place;
   /// filled only when a mask is set).
   std::vector<std::uint8_t> usable;
@@ -213,7 +210,7 @@ struct Packer {
   /// tie-break order as the enumerating path below — the mask skips exactly
   /// the paths active_paths() and the blocked-link erase would drop, and
   /// relative candidate order is preserved, so the same path wins.
-  bool place_cataloged(std::size_t fi, obs::Counter& flows_placed) {
+  void place_cataloged(std::size_t fi, obs::Counter& flows_placed) {
     const Flow& flow = flows[fi];
     const std::vector<CatalogPath>& cpaths =
         config.path_catalog->pair(flow.src_host, flow.dst_host);
@@ -225,12 +222,7 @@ struct Packer {
     if (usable_count == 0) {
       // The restricted subnet disconnects this pair entirely.
       overloaded = true;
-      result.feasible = false;
-      if (!options.best_effort_overflow) {
-        aborted = true;
-        return false;
-      }
-      return true;
+      return;
     }
 
     const Bandwidth scaled = flow.scaled_demand(config.scale_factor_k);
@@ -271,11 +263,6 @@ struct Packer {
     }
 
     if (best == cpaths.size()) {
-      if (!options.best_effort_overflow) {
-        result.feasible = false;
-        aborted = true;
-        return false;
-      }
       // Overflow fallback: the path with the largest bottleneck residual.
       overloaded = true;
       Bandwidth best_bottleneck = -std::numeric_limits<double>::infinity();
@@ -294,16 +281,15 @@ struct Packer {
 
     apply_cataloged(fi, cpaths[best]);
     flows_placed.add();
-    return true;
   }
 
   /// Places one flow with the cold-path rules: enumerate candidate paths,
   /// score them (MinimizeSwitches or BalanceLoad), overflow-fallback when
-  /// nothing fits. Returns false when the pack must be aborted
-  /// (!best_effort_overflow and no candidate fits).
-  bool place(std::size_t fi, obs::Counter& flows_placed) {
+  /// nothing fits.
+  void place(std::size_t fi, obs::Counter& flows_placed) {
     if (config.path_catalog != nullptr) {
-      return place_cataloged(fi, flows_placed);
+      place_cataloged(fi, flows_placed);
+      return;
     }
     const Flow& flow = flows[fi];
     std::vector<Path> candidates =
@@ -320,12 +306,7 @@ struct Packer {
     if (candidates.empty()) {
       // The restricted subnet disconnects this pair entirely.
       overloaded = true;
-      result.feasible = false;
-      if (!options.best_effort_overflow) {
-        aborted = true;
-        return false;
-      }
-      return true;
+      return;
     }
 
     // Pick the best feasible path. MinimizeSwitches: fewest newly-activated
@@ -369,11 +350,6 @@ struct Packer {
     }
 
     if (best == candidates.size()) {
-      if (!options.best_effort_overflow) {
-        result.feasible = false;
-        aborted = true;
-        return false;
-      }
       // Overflow fallback: the path with the largest bottleneck residual.
       overloaded = true;
       Bandwidth best_bottleneck = -std::numeric_limits<double>::infinity();
@@ -392,7 +368,6 @@ struct Packer {
 
     apply(fi, candidates[best]);
     flows_placed.add();
-    return true;
   }
 
   /// Counts switches the result activates (hosts excluded).
@@ -435,25 +410,13 @@ ConsolidationResult GreedyConsolidator::consolidate(
   Packer packer(topo, flows, config, options_);
 
   // First-fit decreasing on scaled demand.
-  for (std::size_t fi : packer.ffd_order()) {
-    if (!packer.place(fi, flows_placed)) break;
-  }
-
-  if (packer.aborted) {
-    packer.result.flow_paths.assign(flows.size(), {});
-    overflows.add();
-    last_overloaded_.store(packer.overloaded, std::memory_order_relaxed);
-    return std::move(packer.result);
-  }
+  for (std::size_t fi : packer.ffd_order()) packer.place(fi, flows_placed);
 
   if (packer.overloaded) overflows.add();
   last_overloaded_.store(packer.overloaded, std::memory_order_relaxed);
+  // An overloaded placement exists but violated the margin somewhere (or
+  // left a pair disconnected); callers treat it as "infeasible at this K".
   packer.result.feasible = !packer.overloaded;
-  if (options_.best_effort_overflow && packer.overloaded) {
-    // Placement exists but violated the margin somewhere; callers treat
-    // this as "infeasible at this K" for optimization purposes.
-    packer.result.feasible = false;
-  }
   finalize_result(packer.graph, config, packer.result);
   return std::move(packer.result);
 }
@@ -517,7 +480,7 @@ ConsolidationResult GreedyConsolidator::consolidate_incremental(
   for (std::size_t fi : order) {
     if (!dirty[fi]) continue;
     ++repacked;
-    if (!packer.place(fi, flows_placed)) break;
+    packer.place(fi, flows_placed);
   }
 
   // Regression bound: the incremental plan must stay within
@@ -526,7 +489,7 @@ ConsolidationResult GreedyConsolidator::consolidate_incremental(
   // recovery path.
   const int active = packer.active_switch_count();
   const int bound = warm->previous->active_switches + warm->max_extra_switches;
-  if (packer.aborted || packer.overloaded || active > bound) {
+  if (packer.overloaded || active > bound) {
     warm_fallbacks.add();
     EPRONS_LOG(Info) << "greedy warm-start abandoned (active=" << active
                      << " bound=" << bound << " overloaded="

@@ -12,7 +12,9 @@
 // decreasing), so elephants claim the left spine and mice fill gaps.
 // Under MinimizeSwitches a placement stops scanning candidates at the
 // first fitting path that lights no new switch: no path can score lower,
-// and ties go left, so that path wins the full scan too.
+// and ties go left, so that path wins the full scan too. A flow that fits
+// on no path overflows onto the path with the most residual capacity, and
+// the result is reported infeasible.
 #pragma once
 
 #include <atomic>
@@ -31,10 +33,6 @@ enum class PlacementObjective {
 };
 
 struct GreedyConsolidatorOptions {
-  /// When true and a flow fits on no path, fall back to the path with the
-  /// most residual capacity and report the result infeasible=false but
-  /// keep `overloaded=true` diagnostics; when false, give up immediately.
-  bool best_effort_overflow = true;
   PlacementObjective objective = PlacementObjective::MinimizeSwitches;
 };
 
@@ -78,7 +76,7 @@ class GreedyConsolidator : public Consolidator {
                                   const ConsolidationConfig& config) const;
 
   /// True if the last consolidate() had to overflow some link beyond the
-  /// safety margin (only possible with best_effort_overflow).
+  /// safety margin.
   bool last_overloaded() const { return last_overloaded_.load(); }
 
  private:

@@ -68,9 +68,10 @@ class HierarchicalConsolidator : public Consolidator {
   /// Warm start decomposes along the same partition: when the previous
   /// flow set has the same size and every index kept its bucket (same pod,
   /// or inter-pod both epochs), each phase gets a sub-hint carved from the
-  /// previous placement and the inner consolidator's own keep/repack or
-  /// incumbent-seeding logic applies per bucket. A partition-shape change
-  /// falls back to a cold hierarchical solve.
+  /// previous placement and the inner consolidator's own warm path (the
+  /// greedy keep/repack; the MILP has none and solves cold) applies per
+  /// bucket. A partition-shape change falls back to a cold hierarchical
+  /// solve.
   ConsolidationResult consolidate_incremental(
       const Topology& topo, const FlowSet& flows,
       const ConsolidationConfig& config,

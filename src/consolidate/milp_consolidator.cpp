@@ -7,16 +7,14 @@
 
 #include "obs/telemetry.h"
 #include "topo/path_catalog.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace eprons {
 
 namespace {
 
-// The path-formulation MILP plus the variable maps needed to seed or
-// extract a solution. Built identically by the cold and warm paths so a
-// warm incumbent lines up with the model's variable order.
+// The path-formulation MILP plus the variable maps needed to extract a
+// solution.
 struct PathMilp {
   lp::Model model{lp::Sense::Minimize};
   std::vector<int> y_var;                  // per NodeId (-1 for hosts)
@@ -156,51 +154,6 @@ PathMilp build_path_milp(const Topology& topo, const FlowSet& flows,
   return milp;
 }
 
-/// The previous epoch's integer assignment expressed in this model's
-/// variable order: one Z per flow (the inherited path when the delta left
-/// the flow clean, the leftmost path otherwise), X for every link a chosen
-/// path uses, Y for every switch those links touch. The solver validates
-/// the vector against the model before adopting it, so a hint made stale
-/// by shrunk capacity or pinned-off switches is simply ignored.
-std::vector<double> build_incumbent_hint(const Graph& graph,
-                                         const FlowSet& flows,
-                                         const PathMilp& milp,
-                                         const WarmStartHint& warm) {
-  const DemandDelta delta = diff_demands(*warm.previous_flows, flows);
-  std::vector<bool> dirty(flows.size(), false);
-  for (FlowId i : delta.added) dirty[static_cast<std::size_t>(i)] = true;
-
-  std::vector<double> hint(
-      static_cast<std::size_t>(milp.model.num_variables()), 0.0);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const std::vector<Path>& candidates = milp.flow_paths[i];
-    if (candidates.empty()) return {};  // model is infeasible anyway
-    std::size_t chosen = 0;
-    if (!dirty[i]) {
-      const Path& previous_path = warm.previous->flow_paths[i];
-      const auto it =
-          std::find(candidates.begin(), candidates.end(), previous_path);
-      if (it != candidates.end()) {
-        chosen = static_cast<std::size_t>(it - candidates.begin());
-      }
-    }
-    hint[static_cast<std::size_t>(milp.z_vars[i][chosen])] = 1.0;
-    const Path& path = candidates[chosen];
-    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-      const LinkId lid = graph.find_link(path[h], path[h + 1]);
-      hint[static_cast<std::size_t>(
-          milp.x_var[static_cast<std::size_t>(lid)])] = 1.0;
-      for (NodeId end : {graph.link(lid).a, graph.link(lid).b}) {
-        if (graph.is_switch(end)) {
-          hint[static_cast<std::size_t>(
-              milp.y_var[static_cast<std::size_t>(end)])] = 1.0;
-        }
-      }
-    }
-  }
-  return hint;
-}
-
 ConsolidationResult extract_solution(const Graph& graph, const FlowSet& flows,
                                      const ConsolidationConfig& config,
                                      const PathMilp& milp,
@@ -276,31 +229,12 @@ ConsolidationResult MilpConsolidator::consolidate(
 ConsolidationResult MilpConsolidator::consolidate(
     const Topology& topo, const FlowSet& flows,
     const ConsolidationConfig& config) const {
-  return solve_impl(topo, flows, config, nullptr);
-}
-
-ConsolidationResult MilpConsolidator::consolidate_incremental(
-    const Topology& topo, const FlowSet& flows,
-    const ConsolidationConfig& config, const WarmStartHint* warm) const {
-  if (warm == nullptr || !warm->usable() || flows.empty()) {
-    return consolidate(topo, flows, config);
-  }
-  return solve_impl(topo, flows, config, warm);
-}
-
-ConsolidationResult MilpConsolidator::solve_impl(
-    const Topology& topo, const FlowSet& flows,
-    const ConsolidationConfig& config, const WarmStartHint* warm) const {
   const obs::ScopedSpan span(obs::tracer(), "consolidate_milp", "planner",
                              "k", config.scale_factor_k);
   static obs::Counter& calls =
       obs::metrics().counter("consolidate.milp_calls");
   static obs::Counter& nodes =
       obs::metrics().counter("consolidate.milp_nodes");
-  static obs::Counter& warm_seeded =
-      obs::metrics().counter("consolidate.milp_warm_seeded");
-  static obs::Counter& warm_rejected =
-      obs::metrics().counter("consolidate.milp_warm_rejected");
   calls.add();
 
   const Graph& graph = topo.graph();
@@ -308,31 +242,12 @@ ConsolidationResult MilpConsolidator::solve_impl(
 
   const PathMilp milp = build_path_milp(topo, flows, config);
 
-  std::vector<double> hint;
-  if (warm != nullptr) {
-    hint = build_incumbent_hint(graph, flows, milp, *warm);
-  }
-
   lp::MilpSolver solver(options_.milp);
-  const lp::Solution sol =
-      solver.solve(milp.model, hint.empty() ? nullptr : &hint);
+  const lp::Solution sol = solver.solve(milp.model);
   last_nodes_.store(solver.last_node_count(), std::memory_order_relaxed);
   nodes.add(static_cast<std::uint64_t>(
       std::max<long long>(0, solver.last_node_count())));
-  if (warm != nullptr) {
-    if (solver.last_warm_start_used()) {
-      warm_seeded.add();
-    } else {
-      warm_rejected.add();
-      EPRONS_LOG(Debug) << "milp warm-start incumbent rejected (stale or "
-                           "infeasible under the new demands); cold solve";
-    }
-  }
-
-  ConsolidationResult result = extract_solution(graph, flows, config, milp,
-                                                sol);
-  result.warm_started = warm != nullptr && solver.last_warm_start_used();
-  return result;
+  return extract_solution(graph, flows, config, milp, sol);
 }
 
 }  // namespace eprons

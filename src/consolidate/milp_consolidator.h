@@ -52,18 +52,6 @@ class MilpConsolidator : public Consolidator {
       const Topology& topo, const FlowSet& flows,
       const ConsolidationConfig& config) const override;
 
-  /// Warm-started exact solve: the previous epoch's integer assignment
-  /// (paths → Z, used links → X, their switches → Y) seeds the
-  /// branch-and-bound incumbent so subtrees that cannot beat it are
-  /// pruned immediately. The model itself is identical to the cold
-  /// solve's, so the reported optimum never changes — only the nodes
-  /// explored. A hint invalidated by the new demands (capacity, pinned
-  /// switches) is rejected by the solver and the solve degrades to cold.
-  ConsolidationResult consolidate_incremental(
-      const Topology& topo, const FlowSet& flows,
-      const ConsolidationConfig& config,
-      const WarmStartHint* warm) const override;
-
   const char* name() const override { return "milp"; }
 
   /// Convenience form bound to the constructor topology.
@@ -74,10 +62,6 @@ class MilpConsolidator : public Consolidator {
   long long last_node_count() const { return last_nodes_.load(); }
 
  private:
-  ConsolidationResult solve_impl(const Topology& topo, const FlowSet& flows,
-                                 const ConsolidationConfig& config,
-                                 const WarmStartHint* warm) const;
-
   const Topology* topo_;
   MilpConsolidatorOptions options_;
   mutable std::atomic<long long> last_nodes_{0};

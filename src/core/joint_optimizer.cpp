@@ -1,7 +1,6 @@
 #include "core/joint_optimizer.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -29,8 +28,6 @@ struct PlannerMetrics {
   obs::Counter& warm_accepts = obs::metrics().counter("planner.warm_accepts");
   obs::Counter& warm_fallbacks =
       obs::metrics().counter("planner.warm_fallbacks");
-  obs::Counter& cache_returns =
-      obs::metrics().counter("planner.cache_returns");
   obs::Gauge& chosen_k = obs::metrics().gauge("planner.chosen_k");
   obs::Gauge& chosen_total_w = obs::metrics().gauge("planner.chosen_total_w");
   obs::Histogram& slack_p95 =
@@ -59,12 +56,10 @@ const char* plan_reject_name(PlanReject reason) {
 namespace {
 
 /// One candidate-K table row for the PlanExplain record.
-obs::PlanCandidateExplain explain_candidate(const JointPlan& plan,
-                                            bool from_cache) {
+obs::PlanCandidateExplain explain_candidate(const JointPlan& plan) {
   obs::PlanCandidateExplain row;
   row.k = plan.k;
   row.feasible = plan.feasible;
-  row.from_cache = from_cache;
   row.reject_reason = plan_reject_name(plan.reject);
   row.total_w = plan.total_power;
   row.network_w = plan.network_power;
@@ -99,10 +94,7 @@ JointOptimizer::JointOptimizer(const Topology* topo,
       path_catalog_(topo),
       vp_table_(std::make_unique<VpTable>(
           service_model,
-          std::max<std::size_t>(1, config_.predictor.max_queue_depth))),
-      plan_cache_(config_.incremental.enabled
-                      ? config_.incremental.plan_cache_capacity
-                      : 0) {
+          std::max<std::size_t>(1, config_.predictor.max_queue_depth))) {
   if (config_.runtime.threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.runtime.threads);
   }
@@ -298,18 +290,11 @@ JointPlan JointOptimizer::optimize(const PlanRequest& request) const {
   }
   const Assembly assembly = assemble_flows(*request.background);
   if (!config_.incremental.enabled) {
-    return cold_search(assembly, request, nullptr);
+    return cold_search(assembly, request);
   }
 
   PlannerMetrics& pm = PlannerMetrics::get();
   const PlanConstraints& constraints = request.constraints;
-  const std::uint64_t demand_fp = demand_fingerprint(*request.background);
-  const std::uint64_t constraint_fp = fingerprint_constraints(
-      constraints.allowed_switches, constraints.blocked_links,
-      constraints.k_min);
-  const PlanCacheKey base_key = make_plan_cache_key(
-      demand_fp, constraint_fp, 0.0, request.utilization);
-
   const double k_floor = std::max(config_.k_min, constraints.k_min);
   const JointPlan* previous = request.previous;
   const bool warm_eligible =
@@ -318,24 +303,6 @@ JointPlan JointOptimizer::optimize(const PlanRequest& request) const {
   if (warm_eligible) {
     const obs::ScopedSpan span(obs::tracer(), "k_search_warm", "planner",
                                "utilization", request.utilization);
-    const PlanCacheKey key = make_plan_cache_key(
-        demand_fp, constraint_fp, previous->k, request.utilization);
-    JointPlan cached;
-    if (plan_cache_.find(key, &cached) && cached.feasible) {
-      pm.searches.add();
-      pm.cache_returns.add();
-      pm.chosen_k.set(cached.k);
-      pm.chosen_total_w.set(cached.total_power);
-      if (request.explain != nullptr) {
-        explain_header(*request.explain, "cache_hit", cached);
-        request.explain->candidates.push_back(
-            explain_candidate(cached, /*from_cache=*/true));
-      }
-      EPRONS_LOG(Info) << "k-search (warm): cache hit for K=" << cached.k
-                       << " (" << cached.total_power << " W predicted total)";
-      return cached;
-    }
-
     const bool constrained = !constraints.allowed_switches.empty() ||
                              !constraints.blocked_links.empty() ||
                              constraints.k_min > 0.0;
@@ -353,13 +320,11 @@ JointPlan JointOptimizer::optimize(const PlanRequest& request) const {
     if (plan.feasible) {
       pm.searches.add();
       pm.warm_accepts.add();
-      plan_cache_.insert(key, plan);
       pm.chosen_k.set(plan.k);
       pm.chosen_total_w.set(plan.total_power);
       if (request.explain != nullptr) {
         explain_header(*request.explain, "warm", plan);
-        request.explain->candidates.push_back(
-            explain_candidate(plan, /*from_cache=*/false));
+        request.explain->candidates.push_back(explain_candidate(plan));
       }
       EPRONS_LOG(Info) << "k-search (warm): kept K=" << plan.k << " ("
                        << plan.placement.active_switches << " switches, "
@@ -374,12 +339,11 @@ JointPlan JointOptimizer::optimize(const PlanRequest& request) const {
                      << " no longer feasible; falling back to the cold "
                         "full sweep";
   }
-  return cold_search(assembly, request, &base_key);
+  return cold_search(assembly, request);
 }
 
 JointPlan JointOptimizer::cold_search(const Assembly& assembly,
-                                      const PlanRequest& request,
-                                      const PlanCacheKey* cache_key) const {
+                                      const PlanRequest& request) const {
   const obs::ScopedSpan span(obs::tracer(), "k_search", "planner",
                              "utilization", request.utilization);
   PlannerMetrics& pm = PlannerMetrics::get();
@@ -396,19 +360,7 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
   }
   if (candidates.empty()) candidates.push_back(config_.k_max);
 
-  // Plan-cache probes happen serially *before* the parallel region, and
-  // inserts serially after it (candidate order), so the cache's contents
-  // and hit/miss counters never depend on the worker count.
   std::vector<JointPlan> plans(candidates.size());
-  std::vector<bool> from_cache(candidates.size(), false);
-  if (cache_key != nullptr) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      PlanCacheKey key = *cache_key;
-      key.k_bits = make_plan_cache_key(0, 0, candidates[i], 0.0).k_bits;
-      from_cache[i] = plan_cache_.find(key, &plans[i]);
-    }
-  }
-
   const ReferenceKnobs knobs{request.use_reference_slack,
                              request.use_reference_dvfs,
                              request.use_reference_enumeration};
@@ -422,7 +374,6 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
     // each candidate — shard count, not worker placement, determines the
     // estimates, so this only shapes the schedule.
     parallel_for(pool_.get(), candidates.size(), [&](std::size_t i) {
-      if (from_cache[i]) return;
       plans[i] = plan_impl(assembly, request.utilization, candidates[i],
                            parallel_candidates ? nullptr : pool_.get(),
                            /*serial_slack=*/parallel_candidates,
@@ -434,7 +385,6 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
     // a pool exists). Consolidation is cheap next to slack estimation, but
     // keeping it parallel preserves the sweep's scaling on big topologies.
     parallel_for(pool_.get(), candidates.size(), [&](std::size_t i) {
-      if (from_cache[i]) return;
       const obs::ScopedSpan k_span(obs::tracer(), "plan_k", "planner", "k",
                                    candidates[i]);
       pm.candidates.add();
@@ -453,7 +403,6 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
     std::vector<std::size_t> leaders;
     std::vector<std::size_t> group_of(candidates.size(), 0);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (from_cache[i]) continue;
       bool grouped = false;
       for (std::size_t g = 0; g < leaders.size(); ++g) {
         if (plans[leaders[g]].placement.flow_paths ==
@@ -491,18 +440,8 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
     // Stage 3: budget split, prediction and classification per candidate,
     // serially in candidate order (telemetry order matches the reference).
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (from_cache[i]) continue;
       plans[i].slack = estimates[group_of[i]];
       finalize_plan(plans[i], request.utilization, knobs.dvfs);
-    }
-  }
-
-  if (cache_key != nullptr) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (from_cache[i]) continue;
-      PlanCacheKey key = *cache_key;
-      key.k_bits = make_plan_cache_key(0, 0, candidates[i], 0.0).k_bits;
-      plan_cache_.insert(key, plans[i]);
     }
   }
 
@@ -511,8 +450,8 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
   std::vector<obs::PlanCandidateExplain> explain_rows;
   if (request.explain != nullptr) {
     explain_rows.reserve(plans.size());
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      explain_rows.push_back(explain_candidate(plans[i], from_cache[i]));
+    for (const JointPlan& plan : plans) {
+      explain_rows.push_back(explain_candidate(plan));
     }
   }
 

@@ -32,7 +32,6 @@
 #include "obs/attribution.h"
 #include "consolidate/greedy_consolidator.h"
 #include "sim/search_cluster.h"
-#include "core/plan_cache.h"
 #include "core/server_power_predictor.h"
 #include "core/slack_estimator.h"
 #include "dvfs/service_model.h"
@@ -47,15 +46,12 @@ namespace eprons {
 /// Incremental (epoch-to-epoch) planning knobs. Off by default: cold
 /// searches stay byte-identical to the pre-incremental planner.
 struct IncrementalPlanningConfig {
-  /// Master switch for warm-started optimize() calls and the plan cache.
+  /// Master switch for warm-started optimize() calls.
   bool enabled = false;
   /// Regression bound handed to the consolidator's warm-start path: an
   /// incremental pack may activate at most this many switches beyond the
   /// previous plan before the planner falls back to a cold re-pack.
   int max_extra_switches = 2;
-  /// PlanCache capacity (evaluated plans retained, FIFO). 0 disables the
-  /// cache while keeping warm-started consolidation.
-  std::size_t plan_cache_capacity = 64;
 };
 
 struct JointOptimizerConfig {
@@ -172,7 +168,7 @@ struct PlanRequest {
   /// PathCatalog.
   bool use_reference_enumeration = false;
   /// When non-null, optimize() fills a structured explanation of the call:
-  /// which path ran (cold sweep / warm re-evaluation / cache hit), the full
+  /// which path ran (cold sweep / warm re-evaluation), the full
   /// candidate-K table with per-candidate power, violation probability and
   /// reject reason, and the consolidation on/off power delta. Purely an
   /// out-parameter — never changes the returned plan. Not owned.
@@ -204,11 +200,12 @@ class JointOptimizer {
   /// tail latency, marked infeasible. With incremental planning enabled
   /// and a feasible `previous`, first re-evaluates only the previous
   /// epoch's K with the consolidator warm-started from the previous
-  /// routing, short-circuiting the sweep when it is still feasible;
-  /// evaluated plans land in (and are first looked up from) the PlanCache.
-  /// Candidates are evaluated in parallel when config.runtime.threads > 1;
-  /// the result is bit-identical for any thread count and any
-  /// use_reference_* knob combination.
+  /// routing, short-circuiting the sweep when it is still feasible.
+  /// The result is a function of the config and the request alone (the
+  /// warm path reads `previous`, which is part of the request), and it is
+  /// bit-identical for any thread count and any use_reference_* knob
+  /// combination; candidates are evaluated in parallel when
+  /// config.runtime.threads > 1.
   JointPlan optimize(const PlanRequest& request) const;
 
  private:
@@ -267,10 +264,8 @@ class JointOptimizer {
   /// deduplicates identical placements, batch-estimates slack once per
   /// unique placement, then finalizes per candidate; with
   /// use_reference_slack the retained per-candidate pipeline runs instead.
-  /// `cache_key` (may be null) enables per-candidate PlanCache probes
-  /// before the parallel region and candidate-order inserts after it.
-  JointPlan cold_search(const Assembly& assembly, const PlanRequest& request,
-                        const PlanCacheKey* cache_key) const;
+  JointPlan cold_search(const Assembly& assembly,
+                        const PlanRequest& request) const;
 
   const Topology* topo_;
   const ServiceModel* service_model_;
@@ -287,9 +282,6 @@ class JointOptimizer {
   /// convolution cache so the reference predictor path is read-only under
   /// the parallel sweep.
   std::unique_ptr<VpTable> vp_table_;
-  /// Probed/filled only from serial sections of optimize(), so its contents
-  /// and counters are independent of the worker count.
-  mutable PlanCache plan_cache_;
 };
 
 }  // namespace eprons

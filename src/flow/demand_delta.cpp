@@ -1,47 +1,11 @@
 #include "flow/demand_delta.h"
 
-#include <cstring>
+#include <algorithm>
 
 namespace eprons {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (byte * 8)) & 0xffull;
-    h *= kFnvPrime;
-  }
-}
-
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
-
-std::uint64_t demand_fingerprint(const FlowSet& flows) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(flows.size()));
-  for (const Flow& f : flows.flows()) {
-    fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.src_host)));
-    fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.dst_host)));
-    fnv_mix(h, static_cast<std::uint64_t>(f.cls));
-    fnv_mix(h, double_bits(f.demand));
-  }
-  return h;
-}
-
 DemandDelta diff_demands(const FlowSet& previous, const FlowSet& next) {
   DemandDelta delta;
-  delta.previous_fingerprint = demand_fingerprint(previous);
-  delta.next_fingerprint = demand_fingerprint(next);
-
   const std::size_t overlap = std::min(previous.size(), next.size());
   for (std::size_t i = 0; i < overlap; ++i) {
     const Flow& p = previous[i];

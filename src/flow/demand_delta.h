@@ -3,9 +3,8 @@
 // Diurnal traces change only a few flows per epoch, yet a cold planner
 // re-routes the whole flow set every time. DemandDelta captures exactly
 // what changed between two consecutive FlowSets — added, removed, and
-// resized flows — plus a stable fingerprint of each set, so the
-// consolidators can re-pack only the dirty flows (greedy), seed the MILP
-// incumbent, and key the PlanCache on the demand snapshot.
+// resized flows — so the warm-started consolidators can keep the previous
+// routing of clean flows and re-pack only the dirty ones.
 //
 // Flows are matched positionally: the epoch controller rebuilds its
 // predicted FlowSet from the same ground-truth flows in the same order
@@ -14,24 +13,15 @@
 // is conservatively treated as one removal plus one addition.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
+#include <vector>
 
 #include "flow/flow.h"
 
 namespace eprons {
 
-/// Order-sensitive 64-bit fingerprint of a FlowSet: FNV-1a over every
-/// flow's (src, dst, class, demand bit pattern). A pure function of the
-/// flow records — identical across runs, platforms, and thread counts —
-/// so it can serve as a cache key and as a cheap "did demand change?"
-/// test between epochs.
-std::uint64_t demand_fingerprint(const FlowSet& flows);
-
 /// The difference between two consecutive epoch snapshots.
 struct DemandDelta {
-  std::uint64_t previous_fingerprint = 0;
-  std::uint64_t next_fingerprint = 0;
-
   /// Indices into the *next* set with no positional match in the previous
   /// set (new flows, or endpoint/class mismatches at their index).
   std::vector<FlowId> added;
@@ -46,14 +36,6 @@ struct DemandDelta {
 
   bool identical() const {
     return added.empty() && removed.empty() && resized.empty();
-  }
-
-  /// Dirty flows (added + resized) as a fraction of the next set's size;
-  /// 0 when the next set is empty. The "1% churn" of a diurnal epoch.
-  double churn_fraction(std::size_t next_size) const {
-    if (next_size == 0) return 0.0;
-    return static_cast<double>(added.size() + resized.size()) /
-           static_cast<double>(next_size);
   }
 };
 

@@ -9,28 +9,8 @@ namespace eprons::lp {
 
 MilpSolver::MilpSolver(MilpOptions options) : options_(options) {}
 
-bool is_feasible_assignment(const Model& model, const std::vector<double>& x,
-                            double tol) {
-  if (static_cast<int>(x.size()) != model.num_variables()) return false;
-  for (int v = 0; v < model.num_variables(); ++v) {
-    const Variable& var = model.variable(v);
-    const double value = x[static_cast<std::size_t>(v)];
-    if (var.is_integer &&
-        std::abs(value - std::round(value)) > tol) {
-      return false;
-    }
-  }
-  return model.is_feasible(x, tol);
-}
-
 Solution MilpSolver::solve(const Model& model) const {
-  return solve(model, nullptr);
-}
-
-Solution MilpSolver::solve(const Model& model,
-                           const std::vector<double>* incumbent_hint) const {
   last_nodes_ = 0;
-  last_warm_used_ = false;
   SimplexSolver simplex(options_.simplex);
 
   // Collect integer variables.
@@ -48,22 +28,6 @@ Solution MilpSolver::solve(const Model& model,
 
   Solution incumbent;
   incumbent.status = SolveStatus::NodeLimit;  // none yet
-
-  // Warm start: a validated hint becomes the initial incumbent, so the
-  // search starts with an upper bound and prunes from node one. The
-  // branching order is untouched — only subtrees that provably cannot
-  // beat the hint are skipped.
-  if (incumbent_hint != nullptr &&
-      is_feasible_assignment(model, *incumbent_hint, options_.int_tol)) {
-    incumbent.x = *incumbent_hint;
-    for (int v : int_vars) {
-      incumbent.x[static_cast<std::size_t>(v)] =
-          std::round(incumbent.x[static_cast<std::size_t>(v)]);
-    }
-    incumbent.objective = model.objective_value(incumbent.x);
-    incumbent.status = SolveStatus::FeasibleIncumbent;
-    last_warm_used_ = true;
-  }
 
   // Work copy of the model whose integer-variable bounds we mutate per node.
   Model work = model;

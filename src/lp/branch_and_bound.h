@@ -33,32 +33,12 @@ class MilpSolver {
   ///   Infeasible / Unbounded — per the relaxation
   Solution solve(const Model& model) const;
 
-  /// Warm-started solve: `incumbent_hint` (one value per model variable,
-  /// e.g. the previous epoch's integer assignment) is validated against
-  /// the model's bounds, integrality, and rows; when valid it seeds the
-  /// branch-and-bound incumbent, so every node whose relaxation bound
-  /// cannot beat the hint is pruned immediately. An invalid or null hint
-  /// degrades to the cold solve — warm-starting never changes the
-  /// reported objective, only the nodes explored to prove it.
-  Solution solve(const Model& model,
-                 const std::vector<double>* incumbent_hint) const;
-
   /// Nodes explored by the most recent solve (diagnostics / benches).
   long long last_node_count() const { return last_nodes_; }
-
-  /// True when the most recent solve() accepted a warm-start incumbent.
-  bool last_warm_start_used() const { return last_warm_used_; }
 
  private:
   MilpOptions options_;
   mutable long long last_nodes_ = 0;
-  mutable bool last_warm_used_ = false;
 };
-
-/// True when `x` satisfies every bound, integrality requirement, and row
-/// of `model` within `tol`. The warm-start validity check, exposed for
-/// tests and for callers that construct incumbents by hand.
-bool is_feasible_assignment(const Model& model, const std::vector<double>& x,
-                            double tol);
 
 }  // namespace eprons::lp

@@ -43,11 +43,9 @@ class Model {
   explicit Model(Sense sense = Sense::Minimize) : sense_(sense) {}
 
   Sense sense() const { return sense_; }
-  void set_sense(Sense sense) { sense_ = sense; }
 
   /// Objective constant (e.g. the N * Pserver term in eq. (2)).
   void set_objective_offset(double value) { offset_ = value; }
-  double objective_offset() const { return offset_; }
 
   int add_variable(std::string name, double lower, double upper,
                    double objective, bool is_integer = false);

@@ -157,8 +157,6 @@ struct AttributionRecord {
 struct PlanCandidateExplain {
   double k = 0.0;
   bool feasible = false;
-  /// Returned from the PlanCache instead of being evaluated.
-  bool from_cache = false;
   /// "" for feasible candidates; else "budget_exhausted" |
   /// "placement_infeasible" | "dvfs_infeasible".
   std::string reject_reason;
@@ -175,7 +173,6 @@ struct PlanCandidateExplain {
   void fields(auto&& f) const {
     f("k", k);
     f("feasible", feasible);
-    f("from_cache", from_cache);
     f("reject_reason", reject_reason);
     f("total_w", total_w);
     f("network_w", network_w);
@@ -191,8 +188,8 @@ struct PlanCandidateExplain {
 struct PlanExplainRecord {
   std::string source = "epoch_controller";
   int epoch = 0;
-  /// Which optimize() path produced the plan: "cold" (full K sweep),
-  /// "warm" (previous-K re-evaluation short-circuit), "cache_hit".
+  /// Which optimize() path produced the plan: "cold" (full K sweep) or
+  /// "warm" (previous-K re-evaluation short-circuit).
   std::string path = "cold";
   double chosen_k = 0.0;
   bool feasible = false;
@@ -201,8 +198,8 @@ struct PlanExplainRecord {
   /// the all-switches-on baseline it was consolidated down from.
   double consolidation_on_w = 0.0;
   double consolidation_off_w = 0.0;
-  /// Every candidate the sweep evaluated (or fetched from cache), in
-  /// candidate order. The warm/cache paths carry a single row.
+  /// Every candidate the sweep evaluated, in candidate order. The warm
+  /// path carries a single row.
   std::vector<PlanCandidateExplain> candidates;
 
   static constexpr const char* sources[] = {"plan_explain"};

@@ -27,9 +27,6 @@ class FreqPowerCurve {
   /// Active power of one core running at frequency f (clamped to range).
   Power active_power(Freq f) const;
 
-  /// The frequency-independent (leakage/uncore share) component of the fit.
-  Power static_component() const { return p_static_; }
-
   /// The DVFS frequency grid: f_min..f_max in `step_ghz` increments
   /// (default 0.1 GHz = the paper's 100 MHz steps), ascending.
   std::vector<Freq> frequency_grid(double step_ghz = 0.1) const;

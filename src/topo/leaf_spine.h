@@ -18,8 +18,6 @@ class LeafSpine final : public Topology {
   LeafSpine(int leaves, int spines, int hosts_per_leaf,
             Bandwidth link_capacity = 1000.0);
 
-  int num_leaves() const { return leaves_; }
-  int num_spines() const { return spines_; }
   int num_hosts() const override { return leaves_ * hosts_per_leaf_; }
   int num_switches() const override { return leaves_ + spines_; }
   Bandwidth link_capacity() const override { return capacity_; }

@@ -25,7 +25,6 @@ class Table {
   void add_row(std::vector<Cell> row);
 
   std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return columns_.size(); }
   const std::vector<std::string>& columns() const { return columns_; }
   const std::vector<Cell>& row(std::size_t i) const { return rows_[i]; }
 

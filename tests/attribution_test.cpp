@@ -247,25 +247,14 @@ TEST(PlanExplain, CacheHitAndWarmPathsAreTagged) {
   ASSERT_TRUE(plan.feasible);
   EXPECT_EQ(cold.path, "cold");
 
-  // Same demand + previous plan: served straight from the plan cache.
-  obs::PlanExplainRecord hit;
-  request.previous = &plan;
-  request.explain = &hit;
-  const JointPlan cached = optimizer.optimize(request);
-  EXPECT_EQ(hit.path, "cache_hit");
-  ASSERT_EQ(hit.candidates.size(), 1u);
-  EXPECT_TRUE(hit.candidates[0].from_cache);
-  EXPECT_EQ(hit.chosen_k, cached.k);
-  EXPECT_EQ(hit.chosen_total_w, cached.total_power);
-
-  // New utilization misses the cache but keeps the previous K warm.
+  // New utilization with the previous plan: re-evaluates the previous K warm.
   obs::PlanExplainRecord warm;
+  request.previous = &plan;
   request.utilization = 0.35;
   request.explain = &warm;
   const JointPlan replanned = optimizer.optimize(request);
   if (replanned.feasible && warm.path == "warm") {
     ASSERT_EQ(warm.candidates.size(), 1u);
-    EXPECT_FALSE(warm.candidates[0].from_cache);
     EXPECT_EQ(warm.chosen_k, plan.k);
   } else {
     // Warm re-evaluation fell back; the cold sweep must explain itself.
@@ -317,11 +306,11 @@ TEST(PlanExplain, GoldenRecordSerialization) {
       "\"feasible\": true, \"chosen_total_w\": 1007.5, "
       "\"consolidation_on_w\": 468, \"consolidation_off_w\": 720, "
       "\"candidates\": [{\"k\": 1, \"feasible\": false, "
-      "\"from_cache\": false, \"reject_reason\": \"dvfs_infeasible\", "
+      "\"reject_reason\": \"dvfs_infeasible\", "
       "\"total_w\": 1130.25, \"network_w\": 396, \"server_w\": 734.25, "
       "\"violation_probability\": 1, \"slack_p95_us\": 9289.5, "
       "\"server_budget_us\": 20710.5, \"active_switches\": 11}, "
-      "{\"k\": 2, \"feasible\": true, \"from_cache\": false, "
+      "{\"k\": 2, \"feasible\": true, "
       "\"reject_reason\": \"\", \"total_w\": 1007.5, \"network_w\": 468, "
       "\"server_w\": 539.5, \"violation_probability\": 0.046875, "
       "\"slack_p95_us\": 5286.625, \"server_budget_us\": 24213.375, "

@@ -196,19 +196,6 @@ TEST(GreedyConsolidator, OverflowReportedWhenImpossible) {
   EXPECT_GE(result.flow_paths[1].size(), 2u);
 }
 
-TEST(GreedyConsolidator, StrictModeGivesUp) {
-  const FatTree ft(4);
-  GreedyConsolidatorOptions options;
-  options.best_effort_overflow = false;
-  const GreedyConsolidator greedy(&ft, options);
-  FlowSet flows;
-  flows.add(0, 5, 600.0, FlowClass::LatencyTolerant);
-  flows.add(0, 9, 600.0, FlowClass::LatencyTolerant);
-  const auto result = greedy.consolidate(flows, fig2_config(1.0));
-  EXPECT_FALSE(result.feasible);
-  EXPECT_TRUE(result.flow_paths[0].empty());
-}
-
 TEST(ArcLp, LowerBoundsMilp) {
   const FatTree ft(4);
   const ArcLpRelaxation relax(&ft);
@@ -415,8 +402,7 @@ struct PackerGoldenRun {
 // Digests greedy and hierarchical placements of `flows` under both
 // objectives at K = 1..5; `base` carries the case's masks and options.
 PackerGoldenRun packer_golden_digest(const FatTree& ft, const FlowSet& flows,
-                                     const ConsolidationConfig& base,
-                                     bool best_effort_overflow) {
+                                     const ConsolidationConfig& base) {
   const PathCatalog catalog(&ft);
   BitDigest digest;
   PackerGoldenRun run;
@@ -425,7 +411,6 @@ PackerGoldenRun packer_golden_digest(const FatTree& ft, const FlowSet& flows,
         PlacementObjective::BalanceLoad}) {
     GreedyConsolidatorOptions options;
     options.objective = objective;
-    options.best_effort_overflow = best_effort_overflow;
     const GreedyConsolidator greedy(&ft, options);
     const HierarchicalConsolidator hierarchical(&greedy);
     const Consolidator* consolidators[] = {&greedy, &hierarchical};
@@ -455,7 +440,7 @@ TEST(PackerGolden, HealthyFabricMatchesReferenceBits) {
   const FatTree ft(8);
   const FlowSet flows = packer_golden_flows(ft, 21, 2, 50.0, 300.0);
   const PackerGoldenRun run =
-      packer_golden_digest(ft, flows, fig2_config(1.0), true);
+      packer_golden_digest(ft, flows, fig2_config(1.0));
   EXPECT_LT(run.infeasible, run.results);
   EXPECT_EQ(run.digest, 0xc7e1ab078cc0efe9ull);
 }
@@ -473,7 +458,7 @@ TEST(PackerGolden, AllowedSwitchMaskMatchesReferenceBits) {
     }
   }
   ASSERT_GT(off, 0);
-  const PackerGoldenRun run = packer_golden_digest(ft, flows, config, true);
+  const PackerGoldenRun run = packer_golden_digest(ft, flows, config);
   EXPECT_LT(run.infeasible, run.results);
   EXPECT_EQ(run.digest, 0x796485ba9822e0f1ull);
 }
@@ -492,24 +477,19 @@ TEST(PackerGolden, BlockedLinksMatchReferenceBits) {
     }
   }
   ASSERT_GT(blocked, 0);
-  const PackerGoldenRun run = packer_golden_digest(ft, flows, config, true);
+  const PackerGoldenRun run = packer_golden_digest(ft, flows, config);
   EXPECT_LT(run.infeasible, run.results);
   EXPECT_EQ(run.digest, 0xea793d25bd4036f0ull);
 }
 
 TEST(PackerGolden, OverflowMatchesReferenceBits) {
-  // Demands no fabric can carry: best-effort packs overflow onto the
-  // widest path, strict packs abort.
+  // Demands no fabric can carry: every pack overflows onto the widest path.
   const FatTree ft(8);
   const FlowSet flows = packer_golden_flows(ft, 24, 3, 150.0, 700.0);
-  const PackerGoldenRun best_effort =
-      packer_golden_digest(ft, flows, fig2_config(1.0), true);
-  const PackerGoldenRun strict =
-      packer_golden_digest(ft, flows, fig2_config(1.0), false);
-  EXPECT_EQ(best_effort.infeasible, best_effort.results);
-  EXPECT_EQ(strict.infeasible, strict.results);
-  EXPECT_EQ(best_effort.digest, 0x508aa981118f488bull);
-  EXPECT_EQ(strict.digest, 0xd32f511825a9537aull);
+  const PackerGoldenRun run =
+      packer_golden_digest(ft, flows, fig2_config(1.0));
+  EXPECT_EQ(run.infeasible, run.results);
+  EXPECT_EQ(run.digest, 0x508aa981118f488bull);
 }
 
 TEST(PackerGolden, WarmIncrementalMatchesReferenceBits) {

@@ -399,7 +399,9 @@ TEST(EpochController, InvariantsHoldUnderFailureStorm) {
     while (!cursor.exhausted() && cursor.next_time() <= epoch_end) {
       cursor.advance_to(cursor.next_time());
       const RecoveryReport r = controller.on_failure(cursor.overlay());
-      if (r.replanned) EXPECT_GE(r.chosen_k, 1.0) << "epoch " << e;
+      if (r.replanned) {
+        EXPECT_GE(r.chosen_k, 1.0) << "epoch " << e;
+      }
       EXPECT_GE(r.time_to_replan, 0.0);
       EXPECT_GE(r.emergency_boots, 0);
       EXPECT_TRUE(std::isfinite(r.estimated_outage_violations));

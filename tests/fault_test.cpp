@@ -103,7 +103,9 @@ TEST(FaultInjector, ScheduleWellFormed) {
   // Timeline is sorted and balanced: every failure has a matching repair.
   int open = 0;
   for (std::size_t i = 0; i < s.timeline.size(); ++i) {
-    if (i > 0) EXPECT_GE(s.timeline[i].time, s.timeline[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(s.timeline[i].time, s.timeline[i - 1].time);
+    }
     open += s.timeline[i].up ? -1 : 1;
   }
   EXPECT_EQ(open, 0);

@@ -327,5 +327,15 @@ TEST(Model, FeasibilityRejectsEitherBoundAlone) {
   EXPECT_FALSE(m.is_feasible({1.5, 1.0 + 2 * tol}, tol));
 }
 
+TEST(Model, FeasibilityRejectsAViolatedRow) {
+  // Both points sit inside every bound, so only the row can reject one.
+  Model m(Sense::Minimize);
+  const int x = m.add_binary("x", 1.0);
+  const int y = m.add_binary("y", 1.0);
+  m.add_row("cover", RowType::GreaterEqual, 1.0, {{x, 1.0}, {y, 1.0}});
+  EXPECT_TRUE(m.is_feasible({1.0, 0.0}, 1e-6));
+  EXPECT_FALSE(m.is_feasible({0.0, 0.0}, 1e-6));
+}
+
 }  // namespace
 }  // namespace eprons::lp

@@ -129,7 +129,7 @@ def handwritten_errors(run):
     errors = []
     for i, rec in enumerate(run["by_source"].get("plan_explain", [])):
         where = f"{run['path']} plan_explain[{i}]"
-        if rec["path"] not in ("cold", "warm", "cache_hit"):
+        if rec["path"] not in ("cold", "warm"):
             errors.append(f"{where}: unknown plan path {rec['path']!r}")
         if not rec["candidates"]:
             errors.append(f"{where}: plan_explain with empty candidate table")

@@ -82,7 +82,7 @@ def valid_records():
         "network_p95_us": 5286.5, "network_p99_us": 7309.5,
         "request_p95_us": 2643.25, "server_budget_us": 24713.5,
         "miss_charged_to": ""}
-    candidate = {"k": 1, "feasible": False, "from_cache": False,
+    candidate = {"k": 1, "feasible": False,
                  "reject_reason": "dvfs_infeasible", "total_w": 1130.25,
                  "network_w": 396, "server_w": 734.25,
                  "violation_probability": 1, "slack_p95_us": 9289.5,

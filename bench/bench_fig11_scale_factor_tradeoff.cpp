@@ -52,7 +52,10 @@ int main(int argc, char** argv) {
   for (int k = 1; k <= 5; ++k) {
     std::vector<Cell> row{static_cast<long long>(k)};
     for (std::size_t b = 0; b < backgrounds.size(); ++b) {
-      row.push_back(grid[b][static_cast<std::size_t>(k - 1)].tail_ms);
+      // In place: moving a temporary Cell into the row trips a false GCC 12
+      // -Wmaybe-uninitialized on the variant's string alternative.
+      row.emplace_back(std::in_place_type<double>,
+                       grid[b][static_cast<std::size_t>(k - 1)].tail_ms);
     }
     a.add_row(std::move(row));
   }
@@ -63,8 +66,8 @@ int main(int argc, char** argv) {
   for (int k = 1; k <= 5; ++k) {
     std::vector<Cell> row{static_cast<long long>(k)};
     for (std::size_t b = 0; b < backgrounds.size(); ++b) {
-      row.push_back(static_cast<long long>(
-          grid[b][static_cast<std::size_t>(k - 1)].switches));
+      row.emplace_back(std::in_place_type<long long>,
+                       grid[b][static_cast<std::size_t>(k - 1)].switches);
     }
     bt.add_row(std::move(row));
   }

@@ -66,7 +66,10 @@ int main(int argc, char** argv) {
   for (const auto& policy : all_policies) {
     std::vector<Cell> row{policy};
     for (double util : {0.1, 0.2, 0.3, 0.4, 0.5}) {
-      row.push_back(run(policy, util, 30.0, 25.0).cpu_power);
+      // Built in place: moving a temporary Cell into the row trips a false
+      // GCC 12 -Wmaybe-uninitialized on the variant's string alternative.
+      row.emplace_back(std::in_place_type<double>,
+                       run(policy, util, 30.0, 25.0).cpu_power);
     }
     a.add_row(std::move(row));
   }
@@ -84,7 +87,8 @@ int main(int argc, char** argv) {
     for (const auto& policy : all_policies) {
       std::vector<Cell> row{policy};
       for (double c : constraints) {
-        row.push_back(run(policy, 0.3, c, c - 5.0).cpu_power);
+        row.emplace_back(std::in_place_type<double>,
+                         run(policy, 0.3, c, c - 5.0).cpu_power);
       }
       b.add_row(std::move(row));
     }
@@ -111,7 +115,8 @@ int main(int argc, char** argv) {
     for (double util : {0.1, 0.2, 0.3, 0.4, 0.5}) {
       std::vector<Cell> row{strformat("%.0f%%", util * 100.0)};
       for (double c : constraints) {
-        row.push_back(run("eprons", util, c, c - 5.0).cpu_power);
+        row.emplace_back(std::in_place_type<double>,
+                         run("eprons", util, c, c - 5.0).cpu_power);
       }
       ct.add_row(std::move(row));
     }

@@ -56,7 +56,10 @@ int main(int argc, char** argv) {
       const auto result =
           scn.run(background, scenario, &full);
       for (std::size_t i = 0; i < constraints.size(); ++i) {
-        row.push_back(result.metrics.total_system_power);
+        // In place: moving a temporary Cell into the row trips a false
+        // GCC 12 -Wmaybe-uninitialized on the variant's string alternative.
+        row.emplace_back(std::in_place_type<double>,
+                         result.metrics.total_system_power);
       }
       table.add_row(std::move(row));
     }
@@ -117,7 +120,9 @@ int main(int argc, char** argv) {
         if (result.metrics.subquery_miss_rate > miss_budget) {
           row.push_back(std::string("-"));  // constraint not supportable
         } else {
-          row.push_back(result.metrics.total_system_power);
+          // In place, as above.
+          row.emplace_back(std::in_place_type<double>,
+                           result.metrics.total_system_power);
         }
       }
       table.add_row(std::move(row));

@@ -68,44 +68,56 @@ int main(int argc, char** argv) {
     config.scale_factor_k = 2.0;
 
     std::vector<Cell> row{static_cast<long long>(flows_n)};
+    // Cells are built in place: moving a temporary Cell into the row trips
+    // a false GCC 12 -Wmaybe-uninitialized on the variant's string
+    // alternative.
+    auto add_dash = [&row] {
+      row.emplace_back(std::in_place_type<std::string>, "-");
+    };
+    auto add_count = [&row, &add_dash](bool ok, long long n) {
+      if (ok) {
+        row.emplace_back(std::in_place_type<long long>, n);
+      } else {
+        add_dash();
+      }
+    };
 
     if (flows_n <= max_lp) {
       const auto start = std::chrono::steady_clock::now();
       const ArcLpResult bound = relax.solve(flows, config);
       const double secs = seconds_since(start);
-      row.push_back(bound.status == lp::SolveStatus::Optimal
-                        ? Cell{bound.network_power_bound}
-                        : Cell{std::string("-")});
-      row.push_back(secs);
+      if (bound.status == lp::SolveStatus::Optimal) {
+        row.emplace_back(std::in_place_type<double>,
+                         bound.network_power_bound);
+      } else {
+        add_dash();
+      }
+      row.emplace_back(std::in_place_type<double>, secs);
     } else {
-      row.push_back(std::string("(too slow)"));
-      row.push_back(std::string("-"));
+      row.emplace_back(std::in_place_type<std::string>, "(too slow)");
+      add_dash();
     }
     if (flows_n <= max_exact) {
       const auto start = std::chrono::steady_clock::now();
       const ConsolidationResult exact = milp.consolidate(topo, flows, config);
       const double secs = seconds_since(start);
-      row.push_back(exact.feasible
-                        ? Cell{static_cast<long long>(exact.active_switches)}
-                        : Cell{std::string("-")});
-      row.push_back(secs);
+      add_count(exact.feasible, exact.active_switches);
+      row.emplace_back(std::in_place_type<double>, secs);
     } else {
-      row.push_back(std::string("(skipped)"));
-      row.push_back(std::string("-"));
+      row.emplace_back(std::in_place_type<std::string>, "(skipped)");
+      add_dash();
     }
     {
       const auto start = std::chrono::steady_clock::now();
       const ConsolidationResult heur = greedy.consolidate(topo, flows, config);
       const double secs = seconds_since(start);
-      row.push_back(heur.feasible
-                        ? Cell{static_cast<long long>(heur.active_switches)}
-                        : Cell{std::string("-")});
-      row.push_back(secs);
+      add_count(heur.feasible, heur.active_switches);
+      row.emplace_back(std::in_place_type<double>, secs);
     }
     {
       const lp::Model model = relax.build_model(flows, config);
-      row.push_back(static_cast<long long>(model.num_rows()));
-      row.push_back(static_cast<long long>(model.num_variables()));
+      row.emplace_back(std::in_place_type<long long>, model.num_rows());
+      row.emplace_back(std::in_place_type<long long>, model.num_variables());
     }
     table.add_row(std::move(row));
   }

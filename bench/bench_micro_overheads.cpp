@@ -2,7 +2,9 @@
 //   * "computing one convolution requires 20 us" (FFT path),
 //   * "it takes less than 30 us" to determine the operating frequency once
 //     equivalent distributions are cached (binary search on average VP),
-//   * arrival-instant decisions pay n convolutions.
+//   * arrival-instant decisions pay n convolutions — here the cost of the
+//     first decision at a (start bin, depth), after which the model's
+//     residual chain cache serves them (BM_ArrivalDecision).
 #include <benchmark/benchmark.h>
 
 #include "dvfs/equivalent_queue.h"
@@ -22,6 +24,17 @@ const ServiceModel& shared_model() {
     return make_search_service_model(config, rng);
   }();
   return model;
+}
+
+// `depth` requests with deadlines 25, 27, 29, ... ms and 2 ms of slack.
+std::vector<QueuedRequest> staggered_queue(std::size_t depth) {
+  std::vector<QueuedRequest> queue(depth);
+  for (std::size_t i = 0; i < depth; ++i) {
+    queue[i].id = static_cast<RequestId>(i);
+    queue[i].deadline_server = ms(25.0) + ms(2.0) * static_cast<double>(i);
+    queue[i].deadline_with_slack = queue[i].deadline_server + ms(2.0);
+  }
+  return queue;
 }
 
 void BM_FftConvolution(benchmark::State& state) {
@@ -65,7 +78,9 @@ void BM_EquivalentQueueDeparture(benchmark::State& state) {
 BENCHMARK(BM_EquivalentQueueDeparture)->Arg(1)->Arg(4)->Arg(8);
 
 void BM_EquivalentQueueArrival(benchmark::State& state) {
-  // Arrival instants pay n convolutions (paper section III-C).
+  // The reference chain at an arrival instant: n convolutions (paper
+  // section III-C), which a decision now pays only on a residual cache
+  // miss. at() builds them whatever the cache holds.
   const ServiceModel& model = shared_model();
   const auto depth = static_cast<std::size_t>(state.range(0));
   const Work done = model.work().mean() / 2.0;
@@ -76,6 +91,22 @@ void BM_EquivalentQueueArrival(benchmark::State& state) {
 }
 BENCHMARK(BM_EquivalentQueueArrival)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
+void BM_ArrivalDecision(benchmark::State& state) {
+  // An arrival-instant EPRONS-Server decision (head partly served) on a
+  // warm residual chain cache: offsets and CDF lookups, no convolution.
+  const ServiceModel& model = shared_model();
+  EpronsServerPolicy policy(&model);
+  const Work done = model.work().mean() / 2.0;
+  const std::vector<QueuedRequest> queue =
+      staggered_queue(static_cast<std::size_t>(state.range(0)));
+  const std::span<const QueuedRequest> view(queue.data(), queue.size());
+  policy.select_frequency(0.0, view, done);  // warm the cache
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.select_frequency(0.0, view, done));
+  }
+}
+BENCHMARK(BM_ArrivalDecision)->Arg(2)->Arg(4)->Arg(8);
+
 void BM_FrequencyDecision(benchmark::State& state) {
   // The <30 us claim: selecting the frequency by binary search on the
   // average VP, with equivalent distributions already available.
@@ -83,12 +114,7 @@ void BM_FrequencyDecision(benchmark::State& state) {
   EpronsServerPolicy policy(&model);
   const auto depth = static_cast<std::size_t>(state.range(0));
   model.fresh_convolution(depth);
-  std::vector<QueuedRequest> queue(depth);
-  for (std::size_t i = 0; i < depth; ++i) {
-    queue[i].id = static_cast<RequestId>(i);
-    queue[i].deadline_server = ms(25.0) + ms(2.0) * static_cast<double>(i);
-    queue[i].deadline_with_slack = queue[i].deadline_server + ms(2.0);
-  }
+  const std::vector<QueuedRequest> queue = staggered_queue(depth);
   for (auto _ : state) {
     benchmark::DoNotOptimize(policy.select_frequency(
         0.0, std::span<const QueuedRequest>(queue.data(), queue.size()),

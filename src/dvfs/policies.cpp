@@ -48,8 +48,8 @@ Freq RubikPolicy::select_frequency(SimTime now,
   // budget at grid frequency fi.
   auto feasible = [&](std::size_t fi) {
     for (std::size_t i = 0; i < queue.size(); ++i) {
-      const double vp = model_->violation_probability_at(
-          equivalents.at(i), now, deadline_of(queue[i]), fi);
+      const double vp = equivalents.violation_probability_at(
+          i, now, deadline_of(queue[i]), fi);
       if (vp > config_.target_vp) return false;
     }
     return true;
@@ -93,15 +93,14 @@ Freq EpronsServerPolicy::select_frequency(SimTime now,
     if (features_.average_vp) {
       double total = 0.0;
       for (std::size_t i = 0; i < queue.size(); ++i) {
-        total += model_->violation_probability_at(equivalents.at(i), now,
-                                                  deadline_of(queue[i]), fi);
+        total += equivalents.violation_probability_at(
+            i, now, deadline_of(queue[i]), fi);
       }
       return total <= config_.target_vp * static_cast<double>(queue.size());
     }
     for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (model_->violation_probability_at(equivalents.at(i), now,
-                                           deadline_of(queue[i]), fi) >
-          config_.target_vp) {
+      if (equivalents.violation_probability_at(i, now, deadline_of(queue[i]),
+                                               fi) > config_.target_vp) {
         return false;
       }
     }

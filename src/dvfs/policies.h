@@ -21,7 +21,8 @@
 // the frequency is the first whose one-request threshold
 // (ServiceModel::one_request_thresholds, built when the policy is made)
 // the deadline margin reaches. Every other queue runs the VP search of
-// section III-C (lowest_feasible_frequency).
+// section III-C (lowest_feasible_frequency), reading each VP from the
+// model's chain caches through EquivalentQueue::violation_probability_at.
 #pragma once
 
 #include <memory>

@@ -104,14 +104,44 @@ const DiscreteDistribution& ServiceModel::fresh_convolution(
 
 DiscreteDistribution ServiceModel::convolve_work(
     const DiscreteDistribution& d) const {
+  return work_product(d).truncated(config_.truncate_eps);
+}
+
+DiscreteDistribution ServiceModel::work_product(
+    const DiscreteDistribution& d) const {
   const std::size_t n = fft_convolution_size(d.size(), work_.size());
-  if (n == 0) return d.convolve(work_).truncated(config_.truncate_eps);
+  if (n == 0) return d.convolve(work_);
   // DiscreteDistribution::convolve with the cached spectrum standing in
   // for the work PDF's transform: same offset, step and normalization.
   std::vector<double> out = convolve(d.pmf(), work_spectrum(n), work_.size());
   return DiscreteDistribution(d.offset() + work_.offset(), d.step(),
-                              std::move(out))
-      .truncated(config_.truncate_eps);
+                              std::move(out));
+}
+
+std::span<const std::unique_ptr<const ServiceModel::ResidualLink>>
+ServiceModel::residual_chain(std::size_t start_bin, std::size_t depth) const {
+  if (depth == 0) throw std::invalid_argument("depth must be >= 1");
+  if (residual_.chains.empty()) residual_.chains.resize(work_.size() + 1);
+  auto& chain = residual_.chains.at(start_bin);
+  if (chain.size() < depth) {
+    // Only CDFs are kept, so the chain is rebuilt from its head; the
+    // offsets are placeholders (the pmfs do not depend on them).
+    DiscreteDistribution link = work_.remaining_from({start_bin, 0.0});
+    const auto keep = [&](std::size_t trim) {
+      const std::span<const double> cdf = link.cdf_view().table;
+      chain.push_back(std::make_unique<const ResidualLink>(
+          ResidualLink{trim, std::vector<double>(cdf.begin(), cdf.end())}));
+    };
+    if (chain.empty()) keep(0);
+    for (std::size_t k = 1; k < depth; ++k) {
+      const DiscreteDistribution product = work_product(link);
+      const std::size_t trim =
+          product.truncation_range(config_.truncate_eps).first;
+      link = product.truncated(config_.truncate_eps);
+      if (k == chain.size()) keep(trim);
+    }
+  }
+  return {chain.data(), depth};
 }
 
 const Spectrum& ServiceModel::work_spectrum(std::size_t n) const {

@@ -21,6 +21,16 @@
 // the fresh chain and of the arrival-instant residual chain costs one
 // forward and one inverse transform (stats/fft.h).
 //
+// Section III-C caches only the fresh chain; an arrival instant, with the
+// head request partly served, pays one convolution per queued request. The
+// model caches that residual chain too, as CDF tables keyed by start bin:
+// the head's conditional remaining-work pmf depends on `done` only through
+// the start bin DiscreteDistribution::remaining_start picks, so every later
+// link's convolution, truncation and CDF does too, while `done` enters
+// only through the offsets, which each decision recomputes in the
+// reference order (EquivalentQueue; docs/DETERMINISM.md). A residual
+// decision thus pays the convolutions once per (start bin, depth).
+//
 // Most decisions in a DES see one fresh request. For those the model keeps,
 // per target VP, the deadline margin at which each grid frequency starts to
 // meet the target (one_request_thresholds), so a policy decides by
@@ -30,6 +40,7 @@
 #include <array>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -80,6 +91,13 @@ class ServiceModel {
   double violation_probability_at(const DiscreteDistribution& equivalent,
                                   SimTime now, SimTime deadline,
                                   std::size_t freq_index) const {
+    return violation_probability_at(equivalent.cdf_view(), now, deadline,
+                                    freq_index);
+  }
+  /// The same for a distribution held as a CDF table (a residual link).
+  double violation_probability_at(const CdfView& equivalent, SimTime now,
+                                  SimTime deadline,
+                                  std::size_t freq_index) const {
     if (deadline <= now) return 1.0;
     return equivalent.ccdf((deadline - now) / per_cycle_us_[freq_index]);
   }
@@ -97,6 +115,29 @@ class ServiceModel {
   /// d.convolve(work()).truncated(truncate_eps); the FFT path reads the
   /// work PDF's spectrum from work_spectrum().
   DiscreteDistribution convolve_work(const DiscreteDistribution& d) const;
+
+  /// Link k of an arrival-instant residual chain, as the model caches it:
+  /// the CDF table of the reference link (EquivalentQueue::at(k)) and the
+  /// truncation start its offset needs. The reference link k >= 1 is
+  /// convolve_work(link k-1), whose offset is
+  ///   (offset(k-1) + work().offset()) + trim * work().step()
+  /// where trim is truncation_range(truncate_eps).first of the untruncated
+  /// product. Link 0 is the head, work().remaining_from(...), trim 0.
+  struct ResidualLink {
+    std::size_t trim = 0;
+    std::vector<double> cdf;
+  };
+
+  /// The first `depth` (>= 1) links of the residual chain whose head starts
+  /// at `start_bin` (work().remaining_start(done).bin; work().size() is the
+  /// point mass), built on first use. A chain is built from its head, so
+  /// each (start bin, depth) pays depth - 1 convolutions once. Same growth
+  /// contract as fresh_convolution: building is thread-unsafe, and only
+  /// the single-threaded DES builds (the planner never sees a residual
+  /// queue). The returned span is valid until the next call; the links it
+  /// points to never move and live as long as the model.
+  std::span<const std::unique_ptr<const ResidualLink>> residual_chain(
+      std::size_t start_bin, std::size_t depth) const;
 
   /// Forward spectrum of the work PDF zero-padded to `n` (a power of
   /// two), built on first use. Same contract as fresh_convolution:
@@ -118,6 +159,9 @@ class ServiceModel {
   const std::vector<SimTime>& one_request_thresholds(double target_vp) const;
 
  private:
+  /// d * work, normalized, before truncation: convolve_work's product.
+  DiscreteDistribution work_product(const DiscreteDistribution& d) const;
+
   DiscreteDistribution work_;
   ServiceModelConfig config_;
   std::vector<Freq> grid_;
@@ -136,6 +180,15 @@ class ServiceModel {
         tables;
   };
   mutable ThresholdCache thresholds_;
+  // Residual chains by start bin (work_.size() + 1 slots once used). Links
+  // are held by pointer, so growing a chain never moves a built link. A
+  // copy of the model starts with none, as with the thresholds.
+  struct ResidualCache {
+    ResidualCache() = default;
+    ResidualCache(const ResidualCache&) {}
+    std::vector<std::vector<std::unique_ptr<const ResidualLink>>> chains;
+  };
+  mutable ResidualCache residual_;
 };
 
 }  // namespace eprons

@@ -3,8 +3,22 @@
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace eprons::lp {
+
+namespace {
+
+/// `name`, or `prefix` and the index when it is empty. Built by appending:
+/// GCC 12 reports a false -Wrestrict on "x" + std::to_string(i).
+std::string name_or_index(const std::string& name, char prefix, int index) {
+  if (!name.empty()) return name;
+  std::string out(1, prefix);
+  out += std::to_string(index);
+  return out;
+}
+
+}  // namespace
 
 int Model::add_variable(std::string name, double lower, double upper,
                         double objective, bool is_integer) {
@@ -79,8 +93,7 @@ bool Model::is_feasible(const std::vector<double>& x, double tol) const {
 
 void Model::write_lp(std::ostream& os) const {
   auto var_name = [&](int v) {
-    const std::string& n = vars_[static_cast<std::size_t>(v)].name;
-    return n.empty() ? "x" + std::to_string(v) : n;
+    return name_or_index(vars_[static_cast<std::size_t>(v)].name, 'x', v);
   };
   os << (sense_ == Sense::Minimize ? "Minimize" : "Maximize") << "\n obj:";
   bool any = false;
@@ -94,8 +107,7 @@ void Model::write_lp(std::ostream& os) const {
   os << "\nSubject To\n";
   for (int r = 0; r < num_rows(); ++r) {
     const Row& row = rows_[static_cast<std::size_t>(r)];
-    os << ' ' << (row.name.empty() ? "c" + std::to_string(r) : row.name)
-       << ':';
+    os << ' ' << name_or_index(row.name, 'c', r) << ':';
     for (const RowEntry& e : row.entries) {
       os << (e.coeff >= 0 ? " + " : " - ") << std::abs(e.coeff) << ' '
          << var_name(e.var);

@@ -11,6 +11,18 @@
 
 namespace eprons {
 
+double CdfView::cdf(double x) const {
+  if (table.empty()) return 0.0;
+  if (x < offset) return 0.0;
+  const double pos = (x - offset) / step;
+  if (pos >= static_cast<double>(table.size() - 1)) return 1.0;
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const double c_lo = table[lo];
+  const double c_hi = table[lo + 1];
+  return c_lo + frac * (c_hi - c_lo);
+}
+
 DiscreteDistribution::DiscreteDistribution(double offset, double step,
                                            std::vector<double> pmf)
     : offset_(offset), step_(step), pmf_(std::move(pmf)) {
@@ -82,20 +94,6 @@ double DiscreteDistribution::variance() const {
   return v;
 }
 
-double DiscreteDistribution::cdf(double x) const {
-  if (pmf_.empty()) return 0.0;
-  if (x < offset_) return 0.0;
-  const double pos = (x - offset_) / step_;
-  if (pos >= static_cast<double>(pmf_.size() - 1)) return 1.0;
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  const double c_lo = cdf_[lo];
-  const double c_hi = cdf_[lo + 1];
-  return c_lo + frac * (c_hi - c_lo);
-}
-
-double DiscreteDistribution::ccdf(double x) const { return 1.0 - cdf(x); }
-
 double DiscreteDistribution::quantile(double p) const {
   if (pmf_.empty()) return 0.0;
   p = std::clamp(p, 0.0, 1.0);
@@ -116,26 +114,48 @@ DiscreteDistribution DiscreteDistribution::convolve(
 
 DiscreteDistribution DiscreteDistribution::conditional_remaining(
     double done) const {
-  if (done <= offset_) {
-    // Nothing observed yet beyond the minimum: just shift support.
-    return DiscreteDistribution(offset_ - done, step_, pmf_);
-  }
-  // Keep bins with value strictly greater than `done`.
-  const auto first =
-      static_cast<std::size_t>(std::ceil((done - offset_) / step_ + 1e-9));
-  if (first >= pmf_.size()) {
-    return point_mass(0.0, step_);
-  }
-  std::vector<double> tail(pmf_.begin() + static_cast<std::ptrdiff_t>(first),
-                           pmf_.end());
-  const double mass = std::accumulate(tail.begin(), tail.end(), 0.0);
-  if (mass <= 0.0) return point_mass(0.0, step_);
-  const double new_offset = offset_ + static_cast<double>(first) * step_ - done;
-  return DiscreteDistribution(new_offset, step_, std::move(tail));
+  return remaining_from(remaining_start(done));
+}
+
+DiscreteDistribution::RemainingStart DiscreteDistribution::remaining_start(
+    double done) const {
+  // Nothing observed yet beyond the minimum: just shift support.
+  if (done <= offset_) return {0, offset_ - done};
+  // Keep bins with value strictly greater than `done`. Compared as a
+  // double first, so that a `done` far past the support is not cast.
+  const double first = std::ceil((done - offset_) / step_ + 1e-9);
+  const RemainingStart none{pmf_.size(), 0.0};
+  if (!(first < static_cast<double>(pmf_.size()))) return none;
+  const auto bin = static_cast<std::size_t>(first);
+  // The masses are >= 0 (or NaN), so the tail sums to <= 0 exactly when
+  // every bin in it is zero: find the last nonzero bin instead of summing.
+  std::size_t end = pmf_.size();
+  while (end > bin && pmf_[end - 1] == 0.0) --end;
+  if (end == bin) return none;
+  return {bin, offset_ + static_cast<double>(bin) * step_ - done};
+}
+
+DiscreteDistribution DiscreteDistribution::remaining_from(
+    RemainingStart start) const {
+  if (start.bin >= pmf_.size()) return point_mass(start.offset, step_);
+  return DiscreteDistribution(
+      start.offset, step_,
+      std::vector<double>(pmf_.begin() + static_cast<std::ptrdiff_t>(start.bin),
+                          pmf_.end()));
 }
 
 DiscreteDistribution DiscreteDistribution::truncated(double eps) const {
   if (pmf_.empty()) return *this;
+  const auto [first, last] = truncation_range(eps);
+  std::vector<double> kept(pmf_.begin() + static_cast<std::ptrdiff_t>(first),
+                           pmf_.begin() + static_cast<std::ptrdiff_t>(last));
+  return DiscreteDistribution(offset_ + static_cast<double>(first) * step_,
+                              step_, std::move(kept));
+}
+
+std::pair<std::size_t, std::size_t> DiscreteDistribution::truncation_range(
+    double eps) const {
+  if (pmf_.empty()) return {0, 0};
   std::size_t first = 0;
   double head = 0.0;
   while (first + 1 < pmf_.size() && head + pmf_[first] < eps) {
@@ -148,10 +168,7 @@ DiscreteDistribution DiscreteDistribution::truncated(double eps) const {
     tail += pmf_[last - 1];
     --last;
   }
-  std::vector<double> kept(pmf_.begin() + static_cast<std::ptrdiff_t>(first),
-                           pmf_.begin() + static_cast<std::ptrdiff_t>(last));
-  return DiscreteDistribution(offset_ + static_cast<double>(first) * step_,
-                              step_, std::move(kept));
+  return {first, last};
 }
 
 double DiscreteDistribution::sample(Rng& rng) const {

@@ -11,11 +11,27 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
 
 namespace eprons {
+
+/// A CDF table on the grid offset + i * step, read as DiscreteDistribution
+/// reads its own: the form in which ServiceModel caches the links of
+/// arrival-instant residual chains, whose offsets depend on the decision.
+struct CdfView {
+  std::span<const double> table;  // table[i] = P[X <= offset + i * step]
+  double offset = 0.0;
+  double step = 1.0;
+
+  /// P[X <= x], with linear interpolation between grid points.
+  double cdf(double x) const;
+  /// P[X > x] == 1 - cdf(x).
+  double ccdf(double x) const { return 1.0 - cdf(x); }
+};
 
 class DiscreteDistribution {
  public:
@@ -48,9 +64,11 @@ class DiscreteDistribution {
   double variance() const;
 
   /// P[X <= x], with linear interpolation between grid points.
-  double cdf(double x) const;
+  double cdf(double x) const { return cdf_view().cdf(x); }
   /// P[X > x] == 1 - cdf(x). This is the violation probability primitive.
-  double ccdf(double x) const;
+  double ccdf(double x) const { return cdf_view().ccdf(x); }
+  /// The CDF table with this distribution's offset and step.
+  CdfView cdf_view() const { return {cdf_, offset_, step_}; }
   /// Smallest x with P[X <= x] >= p (p in [0,1]).
   double quantile(double p) const;
 
@@ -62,12 +80,38 @@ class DiscreteDistribution {
   /// completed without the request finishing, distribution of X - done
   /// restricted to X > done. Used at request *arrival* instants for the
   /// in-service residual (paper section III-B). If all mass is <= done,
-  /// returns a point mass at zero.
+  /// returns a point mass at zero. Equal to
+  /// remaining_from(remaining_start(done)).
   DiscreteDistribution conditional_remaining(double done) const;
 
+  /// Where conditional_remaining(done) starts: the first bin it keeps and
+  /// the offset it gives that bin.
+  struct RemainingStart {
+    /// 0 when done <= offset (the whole PDF, shifted); size() when no bin
+    /// past done carries mass (the point mass at zero); else
+    /// ceil((done - offset) / step + 1e-9), the first bin above done.
+    std::size_t bin = 0;
+    /// offset - done, (offset + bin * step) - done, or 0.0 respectively.
+    double offset = 0.0;
+  };
+  /// The one home of conditional_remaining's start-bin rule. The result's
+  /// pmf depends on `bin` alone, `done` enters only through `offset`.
+  RemainingStart remaining_start(double done) const;
+
+  /// conditional_remaining's distribution from a remaining_start result:
+  /// bins [start.bin, size()) renormalized at start.offset, or the point
+  /// mass at start.offset when start.bin is size().
+  DiscreteDistribution remaining_from(RemainingStart start) const;
+
   /// Drops trailing/leading bins whose total mass is below `eps` and
-  /// renormalizes; keeps convolution sizes bounded in long queues.
+  /// renormalizes; keeps convolution sizes bounded in long queues. Keeps
+  /// the bins truncation_range(eps) names, at offset + first * step.
   DiscreteDistribution truncated(double eps = 1e-9) const;
+
+  /// [first, last): the bins truncated(eps) keeps. The head run before
+  /// `first` and the tail run from `last` each carry less than eps in
+  /// total, and at least one bin is kept.
+  std::pair<std::size_t, std::size_t> truncation_range(double eps) const;
 
   /// Draws one sample (inverse-CDF on the grid with intra-bin jitter): the
   /// bin is bin_at(u) for one uniform u, the jitter a second uniform.

@@ -8,9 +8,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <span>
+#include <string>
 #include <thread>
 
 #include "dvfs/equivalent_queue.h"
@@ -694,6 +698,210 @@ TEST(ConvolutionGolden, FreshConvolutionsMatchReferenceBits) {
     digest.mix_distribution(model.fresh_convolution(count));
   }
   EXPECT_EQ(digest.value(), 0xf5e86db715629040ull);
+}
+
+// ---- The residual chain cache ----
+//
+// At an arrival instant EquivalentQueue answers VPs from the model's cached
+// residual chain (CDF tables by start bin, offsets recomputed from `done`);
+// at() still builds the reference chain with conditional_remaining and
+// convolve_work. The two must agree bit for bit at every grid frequency,
+// whatever order the cache was filled in.
+
+// A hand-built work PDF with a zero-mass bin inside and a zero-mass tail:
+// a `done` in the tail leaves no mass beyond it (the point-mass residual).
+ServiceModel zero_tail_model() {
+  std::vector<double> pmf = {0.05, 0.2, 0.0, 0.3, 0.25, 0.1, 0.06, 0.04};
+  pmf.resize(pmf.size() + 3, 0.0);
+  return ServiceModel(DiscreteDistribution(1.5e6, 2.5e5, std::move(pmf)));
+}
+
+// `done` values: below and at the offset, every bin boundary and one ulp on
+// either side of it, and past max_value.
+std::vector<Work> residual_dones(const DiscreteDistribution& work) {
+  std::vector<Work> dones = {0.5 * work.offset(),
+                             std::nextafter(work.offset(), 0.0)};
+  for (std::size_t j = 0; j <= work.size(); ++j) {
+    const double boundary =
+        work.offset() + static_cast<double>(j) * work.step();
+    dones.push_back(std::nextafter(boundary, -kInf));
+    dones.push_back(boundary);
+    dones.push_back(std::nextafter(boundary, kInf));
+  }
+  for (const double past : {1.5, 2.0, 1e30}) {
+    dones.push_back(past * work.max_value());
+  }
+  return dones;
+}
+
+constexpr std::size_t kMaxResidualDepth = 8;
+
+// The reference chain EquivalentQueue::at builds for `done`, made here so
+// that it fills no model's residual cache.
+std::vector<DiscreteDistribution> reference_chain(const ServiceModel& model,
+                                                  Work done) {
+  std::vector<DiscreteDistribution> chain = {
+      model.work().conditional_remaining(done)};
+  while (chain.size() < kMaxResidualDepth) {
+    chain.push_back(model.convolve_work(chain.back()));
+  }
+  return chain;
+}
+
+// One VP probe of the reference chain: link, grid index, deadline, and the
+// reference chain's VP there.
+struct VpProbe {
+  std::size_t link;
+  std::size_t fi;
+  SimTime deadline;
+  double vp;
+};
+
+constexpr SimTime kProbeNow = ms(3.0);
+
+// Probes every link at every grid index: deadlines before now, at now, at
+// the link's support edges and one ulp on either side, and beyond them.
+std::vector<VpProbe> reference_probes(
+    const ServiceModel& model, const std::vector<DiscreteDistribution>& chain) {
+  const std::vector<Freq>& grid = model.frequency_grid();
+  std::vector<VpProbe> probes;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    const DiscreteDistribution& link = chain[i];
+    for (std::size_t fi = 0; fi < grid.size(); ++fi) {
+      std::vector<SimTime> deadlines = {kProbeNow - ms(1.0), kProbeNow};
+      for (const Work edge : {link.min_value(), link.max_value()}) {
+        const SimTime at = kProbeNow + model.service_time(edge, grid[fi]);
+        deadlines.insert(deadlines.end(), {std::nextafter(at, -kInf), at,
+                                           std::nextafter(at, kInf)});
+      }
+      deadlines.push_back(
+          kProbeNow + model.service_time(2.0 * link.max_value(), grid[fi]));
+      for (const SimTime deadline : deadlines) {
+        probes.push_back(
+            {i, fi, deadline,
+             model.violation_probability_at(link, kProbeNow, deadline, fi)});
+      }
+    }
+  }
+  return probes;
+}
+
+// Asserts that queue `q` answers every probe of its links bit for bit.
+void expect_cached_vps_match(const EquivalentQueue& q,
+                             const std::vector<VpProbe>& probes,
+                             const std::string& where) {
+  for (const VpProbe& p : probes) {
+    if (p.link >= q.size()) continue;
+    const double got =
+        q.violation_probability_at(p.link, kProbeNow, p.deadline, p.fi);
+    if (std::bit_cast<std::uint64_t>(got) !=
+        std::bit_cast<std::uint64_t>(p.vp)) {
+      FAIL() << where << " link " << p.link << " fi " << p.fi
+             << " deadline " << p.deadline << ": cached " << got
+             << " reference " << p.vp;
+    }
+  }
+}
+
+// at() is the reference chain itself.
+void expect_at_is_reference(const EquivalentQueue& q,
+                            const std::vector<DiscreteDistribution>& chain,
+                            const std::string& where) {
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    BitDigest got;
+    BitDigest want;
+    got.mix_distribution(q.at(i));
+    want.mix_distribution(chain[i]);
+    ASSERT_EQ(got.value(), want.value()) << where << " link " << i;
+  }
+}
+
+// Runs every (done, depth 1..8) case three ways against the reference
+// chain: cold, on a model filled link by link (depth 1, then 2, ..., so
+// that each chain is built and then extended); warm, on that model again;
+// and on a second model filled deepest-first (depth 8, then its prefixes).
+void check_residual_cache(const std::function<ServiceModel()>& make_model,
+                          const std::string& name) {
+  const ServiceModel model = make_model();
+  const ServiceModel deepest_first = make_model();
+  const std::vector<Work> dones = residual_dones(model.work());
+  for (std::size_t d = 0; d < dones.size(); ++d) {
+    const Work done = dones[d];
+    const std::vector<DiscreteDistribution> chain =
+        reference_chain(model, done);
+    const std::vector<VpProbe> probes = reference_probes(model, chain);
+    auto check = [&](const ServiceModel& filled, std::size_t depth,
+                     const char* pass) {
+      const EquivalentQueue q(&filled, depth, done);
+      expect_cached_vps_match(q, probes,
+                              name + " " + pass + " done " +
+                                  std::to_string(done) + " depth " +
+                                  std::to_string(depth));
+      return !::testing::Test::HasFatalFailure();
+    };
+    for (const char* pass : {"cold", "warm"}) {
+      for (std::size_t depth = 1; depth <= kMaxResidualDepth; ++depth) {
+        if (!check(model, depth, pass)) return;
+      }
+    }
+    for (std::size_t depth = kMaxResidualDepth; depth >= 1; --depth) {
+      if (!check(deepest_first, depth, "deepest-first")) return;
+    }
+    if (d % 16 == 0) {  // a sample: each costs the chain's convolutions
+      expect_at_is_reference(EquivalentQueue(&model, kMaxResidualDepth, done),
+                             chain, name + " done " + std::to_string(done));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(ResidualChainCache, MatchesReferenceChainOnTestModel) {
+  check_residual_cache([] { return test_model(); }, "test_model");
+}
+
+TEST(ResidualChainCache, MatchesReferenceChainOnGoldenModel) {
+  check_residual_cache(golden_model, "golden_model");
+}
+
+TEST(ResidualChainCache, MatchesReferenceChainWithZeroMassTail) {
+  const ServiceModel model = zero_tail_model();
+  // The last positive bin is 7: a done just past it leaves the point mass,
+  // one just below it keeps bin 7 alone. A done exactly at bin 3's value
+  // keeps only the bins above it.
+  const DiscreteDistribution& work = model.work();
+  const double last = work.offset() + 7.0 * work.step();
+  EXPECT_EQ(work.remaining_start(last + 1.0).bin, work.size());
+  EXPECT_EQ(work.remaining_start(last - 1.0).bin, 7u);
+  EXPECT_EQ(work.remaining_start(work.offset() + 3.0 * work.step()).bin, 4u);
+  check_residual_cache(zero_tail_model, "zero_tail_model");
+}
+
+TEST(ResidualChainCache, BuiltLinksNeverMove) {
+  const ServiceModel model = golden_model();
+  const std::size_t start =
+      model.work().remaining_start(model.work().mean()).bin;
+  std::vector<const ServiceModel::ResidualLink*> links;
+  std::vector<const double*> tables;
+  for (std::size_t depth = 1; depth <= kMaxResidualDepth; ++depth) {
+    const auto chain = model.residual_chain(start, depth);
+    ASSERT_EQ(chain.size(), depth);
+    for (std::size_t k = 0; k < links.size(); ++k) {
+      EXPECT_EQ(chain[k].get(), links[k]) << "depth " << depth << " link " << k;
+      EXPECT_EQ(chain[k]->cdf.data(), tables[k]);
+    }
+    links.push_back(chain.back().get());
+    tables.push_back(chain.back()->cdf.data());
+  }
+  // A queue keeps reading its links while another one grows the chain.
+  const Work done = model.work().mean();
+  const EquivalentQueue shallow(&model, 2, done);
+  const double before = shallow.violation_probability_at(1, 0.0, ms(20.0), 3);
+  const EquivalentQueue deep(&model, 3 * kMaxResidualDepth, done);
+  EXPECT_EQ(shallow.violation_probability_at(1, 0.0, ms(20.0), 3), before);
+  EXPECT_EQ(deep.violation_probability_at(1, 0.0, ms(20.0), 3), before);
+  EXPECT_THROW(model.residual_chain(start, 0), std::invalid_argument);
+  EXPECT_THROW(shallow.violation_probability_at(2, 0.0, ms(20.0), 3),
+               std::out_of_range);
 }
 
 // The parallel planner's pre-warm contract (run under TSan in CI): once a

@@ -291,6 +291,21 @@ TEST(Model, WritesLpFormat) {
   EXPECT_NE(text.find("End"), std::string::npos);
 }
 
+// Unnamed variables and rows are written as x<index> and c<index>.
+TEST(Model, WriteLpNamesUnnamedByIndex) {
+  Model m(Sense::Minimize);
+  m.add_variable("a", 0, 1.0, 1.0);
+  const int x = m.add_variable("", 0, 4.0, 2.0);
+  m.add_row("", RowType::LessEqual, 7, {{x, 3.0}});
+  m.add_row("", RowType::GreaterEqual, 1, {{x, 1.0}});
+  std::ostringstream os;
+  m.write_lp(os);
+  const std::string text = os.str();
+  EXPECT_NE(text.find(" obj: + 1 a + 2 x1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find(" c0: + 3 x1 <= 7\n"), std::string::npos) << text;
+  EXPECT_NE(text.find(" c1: + 1 x1 >= 1\n"), std::string::npos) << text;
+}
+
 TEST(Model, WriteLpHandlesFreeAndUnboundedVars) {
   Model m(Sense::Maximize);
   m.add_variable("free", -kInfinity, kInfinity, 1.0);

@@ -189,8 +189,10 @@ class ChainTopology final : public Topology {
   ChainTopology() {
     path_.push_back(graph_.add_node(NodeType::Host, 0, 0, "h0"));
     for (int i = 0; i < 6; ++i) {
-      path_.push_back(graph_.add_node(NodeType::EdgeSwitch, 0, i,
-                                      "s" + std::to_string(i)));
+      std::string name = "s";  // appended: "s" + ... trips GCC 12 -Wrestrict
+      name += std::to_string(i);
+      path_.push_back(
+          graph_.add_node(NodeType::EdgeSwitch, 0, i, std::move(name)));
     }
     path_.push_back(graph_.add_node(NodeType::Host, 0, 1, "h1"));
     for (std::size_t i = 0; i + 1 < path_.size(); ++i) {

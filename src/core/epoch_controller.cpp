@@ -7,6 +7,7 @@
 #include "obs/telemetry.h"
 #include "topo/aggregation.h"
 #include "util/log.h"
+#include "util/thread_pool.h"
 
 namespace eprons {
 
@@ -96,17 +97,47 @@ EpochReport EpochController::run_epoch(const FlowSet& true_background,
   epochs_run.add();
 
   // (i) Measure: noisy rate observations -> 90th percentile prediction.
+  // Flow by flow, each flow's samples are successive lognormal draws from
+  // `rng`. Their Box–Muller uniforms are drawn here serially, in stream
+  // order; the draws, each flow's window (looked up once, new ones created
+  // serially) and its percentile are evaluated per flow on the optimizer's
+  // pool; the predictions are summed serially in flow order. FlowSet ids
+  // are distinct, so each flow fills its own window.
+  const std::vector<Flow>& flows = true_background.flows();
+  const std::size_t per_flow = static_cast<std::size_t>(
+      std::max(0, config_.samples_per_epoch));
+  const NormalDraws draws = rng.draw_normals(flows.size() * per_flow);
+  std::vector<WindowedPercentile*> windows(flows.size(), nullptr);
+  if (per_flow > 0) {
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      windows[i] = &predictor_.window(flows[i].id);
+    }
+  }
+  std::vector<Bandwidth> demands(flows.size());
+  parallel_for(optimizer_->pool(), flows.size(), [&](std::size_t i) {
+    const Flow& flow = flows[i];
+    if (windows[i] == nullptr) {
+      demands[i] = predictor_.predict(flow.id);
+      return;
+    }
+    constexpr std::size_t kChunk = 64;
+    double factor[kChunk];
+    for (std::size_t s0 = 0; s0 < per_flow; s0 += kChunk) {
+      const std::size_t n = std::min(kChunk, per_flow - s0);
+      draws.lognormal(i * per_flow + s0, n, 0.0, config_.observation_sigma,
+                      factor);
+      for (std::size_t s = 0; s < n; ++s) {
+        windows[i]->add(flow.demand * factor[s]);
+      }
+    }
+    demands[i] = predictor_.predict(*windows[i]);
+  });
   FlowSet predicted;
   double ratio_sum = 0.0;
-  for (const Flow& flow : true_background.flows()) {
-    for (int s = 0; s < config_.samples_per_epoch; ++s) {
-      const double observed =
-          flow.demand * rng.lognormal(0.0, config_.observation_sigma);
-      predictor_.add_sample(flow.id, observed);
-    }
-    const Bandwidth demand = predictor_.predict(flow.id);
-    predicted.add(flow.src_host, flow.dst_host, demand, flow.cls);
-    if (flow.demand > 0.0) ratio_sum += demand / flow.demand;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const Flow& flow = flows[i];
+    predicted.add(flow.src_host, flow.dst_host, demands[i], flow.cls);
+    if (flow.demand > 0.0) ratio_sum += demands[i] / flow.demand;
   }
   report.prediction_ratio =
       true_background.empty()

@@ -1,7 +1,9 @@
 #include "core/joint_optimizer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -71,6 +73,23 @@ obs::PlanCandidateExplain explain_candidate(const JointPlan& plan) {
   return row;
 }
 
+/// The config, once its K sweep is known to be finite and non-empty.
+JointOptimizerConfig validated(JointOptimizerConfig config) {
+  if (!std::isfinite(config.k_step) || config.k_step <= 0.0) {
+    throw std::invalid_argument(
+        "JointOptimizerConfig.k_step must be a positive finite number");
+  }
+  if (!std::isfinite(config.k_min) || !std::isfinite(config.k_max)) {
+    throw std::invalid_argument(
+        "JointOptimizerConfig.k_min and k_max must be finite");
+  }
+  if (config.k_min > config.k_max) {
+    throw std::invalid_argument(
+        "JointOptimizerConfig.k_min must not exceed k_max");
+  }
+  return config;
+}
+
 }  // namespace
 
 // Background + query flows, identical for every K candidate of one
@@ -89,7 +108,7 @@ JointOptimizer::JointOptimizer(const Topology* topo,
     : topo_(topo),
       service_model_(service_model),
       power_model_(power_model),
-      config_(std::move(config)),
+      config_(validated(std::move(config))),
       consolidator_(consolidator ? consolidator : &default_consolidator_),
       path_catalog_(topo),
       vp_table_(std::make_unique<VpTable>(
@@ -381,66 +400,46 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
                            /*warm=*/nullptr, knobs);
     });
   } else {
-    // Fast sweep, stage 1: consolidate every candidate (concurrently when
-    // a pool exists). Consolidation is cheap next to slack estimation, but
-    // keeping it parallel preserves the sweep's scaling on big topologies.
-    parallel_for(pool_.get(), candidates.size(), [&](std::size_t i) {
-      const obs::ScopedSpan k_span(obs::tracer(), "plan_k", "planner", "k",
-                                   candidates[i]);
-      pm.candidates.add();
-      consolidate_into(plans[i], assembly, candidates[i],
-                       constrained ? &constraints : nullptr,
-                       /*warm=*/nullptr, knobs.enumeration);
-    });
-
-    // Stage 2: slack. Identical routings (flow_paths) across the sweep see
-    // identical offered load, and the estimate is a pure function of
-    // (routing, load, seed) — so estimate once per unique routing and
-    // share the result. At moderate load every K often consolidates to the
-    // same routing, collapsing the sweep's Monte-Carlo cost to one
-    // estimate. Grouping runs serially in candidate order; the batch
-    // itself parallelizes over (query, shard) units.
-    std::vector<std::size_t> leaders;
-    std::vector<std::size_t> group_of(candidates.size(), 0);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      bool grouped = false;
-      for (std::size_t g = 0; g < leaders.size(); ++g) {
-        if (plans[leaders[g]].placement.flow_paths ==
-            plans[i].placement.flow_paths) {
-          group_of[i] = g;
-          grouped = true;
-          break;
-        }
-      }
-      if (!grouped) {
-        group_of[i] = leaders.size();
-        leaders.push_back(i);
-      }
-    }
-
-    std::vector<LinkUtilization> loads;
-    loads.reserve(leaders.size());
-    for (std::size_t j : leaders) {
-      loads.push_back(offered_load_for(plans[j], request.utilization));
-    }
-    std::vector<SlackEstimator::Query> queries;
-    queries.reserve(leaders.size());
-    for (std::size_t g = 0; g < leaders.size(); ++g) {
-      SlackEstimator::Query query;
-      query.placement = &plans[leaders[g]].placement;
-      query.offered_load = &loads[g];
-      query.request_flows = &plans[leaders[g]].request_flow;
-      query.reply_flows = &plans[leaders[g]].reply_flow;
-      queries.push_back(query);
-    }
+    // Fast sweep: one pool pass. Candidate i's prepare item consolidates at
+    // its K and builds the placement's offered load; the slack units follow
+    // it on the same pool, so the candidates' consolidations overlap each
+    // other and the sampling of earlier candidates. Identical routings
+    // (flow_paths) see identical offered load, and the estimate is a pure
+    // function of (routing, load, seed) — so a candidate that routes like
+    // an earlier one shares that one's estimate. At moderate load every K
+    // often consolidates to the same routing, collapsing the sweep's
+    // Monte-Carlo cost to one estimate. Leaders are decided in candidate
+    // order, so the plans and counters match the serial order.
+    std::vector<std::optional<LinkUtilization>> loads(candidates.size());
     const SlackEstimator estimator(config_.slack);
-    const std::vector<SlackEstimate> estimates =
-        estimator.estimate_many(queries, pool_.get());
+    const std::vector<SlackEstimate> estimates = estimator.estimate_many(
+        candidates.size(),
+        [&](std::size_t i) {
+          const obs::ScopedSpan k_span(obs::tracer(), "plan_k", "planner",
+                                       "k", candidates[i]);
+          pm.candidates.add();
+          JointPlan& plan = plans[i];
+          consolidate_into(plan, assembly, candidates[i],
+                           constrained ? &constraints : nullptr,
+                           /*warm=*/nullptr, knobs.enumeration);
+          loads[i].emplace(offered_load_for(plan, request.utilization));
+          SlackEstimator::Query query;
+          query.placement = &plan.placement;
+          query.offered_load = &*loads[i];
+          query.request_flows = &plan.request_flow;
+          query.reply_flows = &plan.reply_flow;
+          return query;
+        },
+        [&](std::size_t leader, std::size_t i) {
+          return plans[leader].placement.flow_paths ==
+                 plans[i].placement.flow_paths;
+        },
+        pool_.get());
 
-    // Stage 3: budget split, prediction and classification per candidate,
-    // serially in candidate order (telemetry order matches the reference).
+    // Budget split, prediction and classification per candidate, serially
+    // in candidate order (telemetry order matches the reference).
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      plans[i].slack = estimates[group_of[i]];
+      plans[i].slack = estimates[i];
       finalize_plan(plans[i], request.utilization, knobs.dvfs);
     }
   }

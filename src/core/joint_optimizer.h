@@ -12,7 +12,8 @@
 // The K search is the planner's hot path (every bench/diurnal epoch pays
 // it), so it is engineered twice over:
 //   * with `runtime.threads > 1` all candidates are evaluated concurrently
-//     on an internal ThreadPool;
+//     on an internal ThreadPool — the cold sweep in one pass whose
+//     consolidations run ahead of, and overlap, the slack sampling;
 //   * the cold sweep's three traced hot spots each have a fast
 //     implementation — batched prepared-path Monte-Carlo with per-shard
 //     scratch, a vectorized hop-major combine and a parallel merge
@@ -181,7 +182,9 @@ class JointOptimizer {
   /// default; inject a MilpConsolidator for exact placement). The pointee
   /// must outlive the optimizer and be thread-safe (see Consolidator).
   /// Construction eagerly builds the DVFS CCDF tables (one FFT batch per
-  /// queue depth up to predictor.max_queue_depth).
+  /// queue depth up to predictor.max_queue_depth). Throws
+  /// std::invalid_argument unless k_step is a positive finite number and
+  /// k_min <= k_max are finite.
   JointOptimizer(const Topology* topo, const ServiceModel* service_model,
                  const ServerPowerModel* power_model,
                  JointOptimizerConfig config = {},
@@ -189,6 +192,10 @@ class JointOptimizer {
 
   const JointOptimizerConfig& config() const { return config_; }
   const Consolidator& consolidator() const { return *consolidator_; }
+  /// The K search's worker pool (null when runtime.threads <= 1). The
+  /// epoch controller runs its demand measurement on it between
+  /// optimize() calls, so no second pool is started.
+  ThreadPool* pool() const { return pool_.get(); }
 
   /// Evaluates one candidate K (used directly by ablation benches).
   JointPlan plan_for_k(const FlowSet& background, double utilization,
@@ -260,10 +267,11 @@ class JointOptimizer {
                       const WarmStartHint* warm,
                       const ReferenceKnobs& knobs) const;
 
-  /// The cold full K sweep. The fast shape consolidates all candidates,
-  /// deduplicates identical placements, batch-estimates slack once per
-  /// unique placement, then finalizes per candidate; with
-  /// use_reference_slack the retained per-candidate pipeline runs instead.
+  /// The cold full K sweep. The fast shape consolidates the candidates and
+  /// samples slack once per unique placement in one pool pass
+  /// (SlackEstimator::estimate_many with a prepare step), then finalizes
+  /// per candidate; with use_reference_slack the retained per-candidate
+  /// pipeline runs instead.
   JointPlan cold_search(const Assembly& assembly,
                         const PlanRequest& request) const;
 

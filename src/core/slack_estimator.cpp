@@ -1,7 +1,9 @@
 #include "core/slack_estimator.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <utility>
 
@@ -41,44 +43,36 @@ SlackEstimate SlackEstimator::estimate(const Query& query, ThreadPool* pool,
 std::vector<SlackEstimate> SlackEstimator::estimate_many(
     const std::vector<Query>& queries, ThreadPool* pool,
     bool reference_sampling) const {
-  std::vector<SlackEstimate> out(queries.size());
-  if (queries.empty()) return out;
+  return run(
+      queries.size(), [&](std::size_t i) { return queries[i]; }, {}, pool,
+      reference_sampling);
+}
+
+std::vector<SlackEstimate> SlackEstimator::estimate_many(
+    std::size_t count, const std::function<Query(std::size_t)>& prepare,
+    const std::function<bool(std::size_t, std::size_t)>& same,
+    ThreadPool* pool) const {
+  return run(count, prepare, same, pool, /*reference_sampling=*/false);
+}
+
+std::vector<SlackEstimate> SlackEstimator::run(
+    std::size_t count, const std::function<Query(std::size_t)>& prepare,
+    const std::function<bool(std::size_t, std::size_t)>& same,
+    ThreadPool* pool, bool reference_sampling) const {
+  std::vector<SlackEstimate> out(count);
+  if (count == 0) return out;
   const obs::ScopedSpan span(obs::tracer(), "slack_estimate", "planner",
-                             "queries", static_cast<double>(queries.size()));
+                             "queries", static_cast<double>(count));
   static obs::Counter& estimate_calls =
       obs::metrics().counter("slack.estimates");
   static obs::Counter& sample_count = obs::metrics().counter("slack.samples");
-  estimate_calls.add(static_cast<std::uint64_t>(queries.size()));
-
-  // Routed (request, reply) pairs per query, in flow order; shard s owns
-  // every `shards`-th pair starting at s, so the pair->shard mapping is
-  // fixed.
-  struct QueryPairs {
-    std::vector<std::pair<const Path*, const Path*>> pairs;
-  };
-  std::vector<QueryPairs> routed_pairs(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const Query& query = queries[q];
-    const auto routed = [&](FlowId id) -> const Path* {
-      if (id < 0 || static_cast<std::size_t>(id) >=
-                        query.placement->flow_paths.size()) {
-        return nullptr;
-      }
-      const Path& p = query.placement->flow_paths[static_cast<std::size_t>(id)];
-      return p.size() >= 2 ? &p : nullptr;
-    };
-    auto& pairs = routed_pairs[q].pairs;
-    for (std::size_t i = 0; i < query.request_flows->size() &&
-                            i < query.reply_flows->size();
-         ++i) {
-      const Path* req = routed((*query.request_flows)[i]);
-      const Path* rep = routed((*query.reply_flows)[i]);
-      if (req && rep) pairs.emplace_back(req, rep);
-    }
-  }
 
   const std::size_t shards =
       static_cast<std::size_t>(config_.shards < 1 ? 1 : config_.shards);
+  const std::size_t samples_per_pair =
+      config_.samples_per_pair < 0
+          ? 0
+          : static_cast<std::size_t>(config_.samples_per_pair);
   // Every shard draws from its own split() stream of the experiment seed,
   // and every query reseeds from scratch (exactly as a standalone
   // estimate), so the streams — and therefore the estimates — are
@@ -94,52 +88,122 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
     pool = local_pool.get();
   }
 
-  // Each query's samples live in one flat buffer, laid out in shard order
-  // with per-shard slices precomputed here: shard s owns pairs s, s+shards,
-  // ... and writes its (pair, draw)-ordered samples directly into its
-  // slice, so the buffer's final order is a pure function of (pairs,
-  // shards, samples_per_pair) no matter which worker fills which slice —
-  // and the merge below touches no intermediate per-shard vectors.
-  const std::size_t samples_per_pair =
-      config_.samples_per_pair < 0
-          ? 0
-          : static_cast<std::size_t>(config_.samples_per_pair);
-  // The shards write every slot, so the buffers skip value-initialization.
-  struct QueryBuffers {
+  // Per query: its routed (request, reply) pairs in flow order — shard s
+  // owns every `shards`-th pair starting at s, so the pair->shard mapping
+  // is fixed — its leader, and, for a leader, one flat sample buffer per
+  // statistic laid out in shard order with per-shard slices precomputed:
+  // shard s writes its (pair, draw)-ordered samples directly into its
+  // slice, so a buffer's final order is a pure function of (pairs, shards,
+  // samples_per_pair) no matter which worker fills which slice — and the
+  // merge below touches no intermediate per-shard vectors. The shards
+  // write every slot, so the buffers skip value-initialization.
+  struct QueryState {
+    Query query;
+    std::vector<std::pair<const Path*, const Path*>> pairs;
+    std::size_t leader = 0;
     std::unique_ptr<double[]> request;
     std::unique_ptr<double[]> total;
     std::vector<std::size_t> shard_offset;  // shards + 1 entries
   };
-  std::vector<QueryBuffers> buffers(queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    QueryBuffers& buf = buffers[q];
-    const std::size_t num_pairs = routed_pairs[q].pairs.size();
-    buf.shard_offset.resize(shards + 1);
+  std::vector<QueryState> state(count);
+  const auto build = [&](std::size_t q, const Query& query) {
+    QueryState& qs = state[q];
+    qs.query = query;
+    const auto routed = [&](FlowId id) -> const Path* {
+      if (id < 0 || static_cast<std::size_t>(id) >=
+                        query.placement->flow_paths.size()) {
+        return nullptr;
+      }
+      const Path& p = query.placement->flow_paths[static_cast<std::size_t>(id)];
+      return p.size() >= 2 ? &p : nullptr;
+    };
+    for (std::size_t i = 0; i < query.request_flows->size() &&
+                            i < query.reply_flows->size();
+         ++i) {
+      const Path* req = routed((*query.request_flows)[i]);
+      const Path* rep = routed((*query.reply_flows)[i]);
+      if (req && rep) qs.pairs.emplace_back(req, rep);
+    }
+  };
+
+  // The gate between prepare items and sampling units. Queries [0, built)
+  // are built (or their prepare threw); leaders are decided for [0,
+  // decided), strictly in query order, under the mutex: a decision reads
+  // the leaders before it, so `same` runs under the lock too.
+  std::mutex mutex;
+  std::condition_variable built_cv;
+  std::vector<char> done(count, 0);
+  std::size_t built = 0;
+  std::size_t first_failed = count;
+  std::size_t decided = 0;
+  std::vector<std::size_t> leaders;
+  const auto decide = [&](std::size_t q) {
+    QueryState& qs = state[q];
+    qs.leader = q;
+    if (same) {
+      for (std::size_t j : leaders) {
+        if (same(j, q)) {
+          qs.leader = j;
+          return;
+        }
+      }
+    }
+    leaders.push_back(q);
+    const std::size_t num_pairs = qs.pairs.size();
+    qs.shard_offset.resize(shards + 1);
     std::size_t offset = 0;
     for (std::size_t s = 0; s < shards; ++s) {
-      buf.shard_offset[s] = offset;
+      qs.shard_offset[s] = offset;
       const std::size_t owned =
           num_pairs > s ? (num_pairs - s + shards - 1) / shards : 0;
       offset += owned * samples_per_pair;
     }
-    buf.shard_offset[shards] = offset;
-    buf.request = std::make_unique_for_overwrite<double[]>(offset);
-    buf.total = std::make_unique_for_overwrite<double[]>(offset);
-  }
+    qs.shard_offset[shards] = offset;
+    qs.request = std::make_unique_for_overwrite<double[]>(offset);
+    qs.total = std::make_unique_for_overwrite<double[]>(offset);
+  };
 
-  parallel_for(pool, queries.size() * shards, [&](std::size_t task) {
-    const std::size_t q = task / shards;
-    const std::size_t s = task % shards;
-    const auto& pairs = routed_pairs[q].pairs;
-    if (pairs.empty() || samples_per_pair == 0) return;
+  // parallel_for claims indices in order, so every prepare item is claimed
+  // (and running or finished) before any unit can wait on it.
+  parallel_for(pool, count + count * shards, [&](std::size_t task) {
+    if (task < count) {
+      const auto publish = [&](bool ok) {
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          done[task] = 1;
+          if (!ok) first_failed = std::min(first_failed, task);
+          while (built < count && done[built]) ++built;
+        }
+        built_cv.notify_all();
+      };
+      try {
+        build(task, prepare(task));
+      } catch (...) {
+        publish(false);
+        throw;
+      }
+      publish(true);
+      return;
+    }
+    const std::size_t q = (task - count) / shards;
+    const std::size_t s = (task - count) % shards;
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      built_cv.wait(lock, [&] { return built > q; });
+      if (first_failed <= q) return;
+      while (decided <= q) decide(decided++);
+    }
+    const QueryState& qs = state[q];
+    const auto& pairs = qs.pairs;
+    if (qs.leader != q || pairs.empty() || samples_per_pair == 0) return;
     const obs::ScopedSpan shard_span(obs::tracer(), "slack_shard", "planner",
                                      "shard", static_cast<double>(s));
     Rng rng = shard_rng[s];
-    const PathLatencyEstimator estimator(queries[q].offered_load,
+    const PathLatencyEstimator estimator(qs.query.offered_load,
                                          config_.link_model);
     const LinkLatencyModel& model = estimator.model();
-    double* req_out = buffers[q].request.get() + buffers[q].shard_offset[s];
-    double* tot_out = buffers[q].total.get() + buffers[q].shard_offset[s];
+    double* req_out = qs.request.get() + qs.shard_offset[s];
+    double* tot_out = qs.total.get() + qs.shard_offset[s];
     // Per-shard scratch, reused across pairs and blocks. The fast path
     // prepares each pair's hop constants once; the reference path
     // re-derives them from the live utilization tables on every
@@ -150,6 +214,10 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
     std::vector<double> log_o;
     std::vector<double> burst_u;
     std::vector<double> collision_u;
+    // The pair's burst and collision draws, listed once per pair in draw
+    // order — (hop, collision?) — and, per block, the lane-0 slot of each.
+    std::vector<std::pair<std::size_t, bool>> terms;
+    std::vector<double*> term_at;
     SimTime req_e[kIterChunk];
     SimTime req_o[kIterChunk];
     SimTime rep_e[kIterChunk];
@@ -176,6 +244,13 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
       if (!reference_sampling) {
         estimator.prepare(*req, &request_hops);
         estimator.prepare(*rep, &reply_hops);
+        terms.clear();
+        for (std::size_t h = 0; h < hops; ++h) {
+          const PreparedHop& hop = hop_at(h);
+          if (hop.p_burst > 0.0) terms.emplace_back(h, false);
+          if (hop.bursty > 0.0) terms.emplace_back(h, true);
+        }
+        term_at.resize(terms.size());
       }
       for (std::size_t it0 = 0; it0 < iters_total; it0 += kIterChunk) {
         const std::size_t block = std::min(kIterChunk, iters_total - it0);
@@ -215,12 +290,12 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
           // the block in one vectorized pass.
           burst_u.resize(n);
           collision_u.resize(n);
+          for (std::size_t t = 0; t < terms.size(); ++t) {
+            const auto [h, collision] = terms[t];
+            term_at[t] = (collision ? collision_u : burst_u).data() + h * block;
+          }
           for (std::size_t j = 0; j < block; ++j) {
-            for (std::size_t h = 0; h < hops; ++h) {
-              const PreparedHop& hop = hop_at(h);
-              if (hop.p_burst > 0.0) burst_u[h * block + j] = rng.uniform();
-              if (hop.bursty > 0.0) collision_u[h * block + j] = rng.uniform();
-            }
+            for (double* lane0 : term_at) lane0[j] = rng.uniform();
           }
           log_o.resize(n);
           fast_log_block_antithetic(log_e.data(), log_e.data(), log_o.data(),
@@ -241,40 +316,49 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
                                     request ? req_o : rep_o);
           }
         }
-        for (std::size_t j = 0; j < block; ++j) {
+        // Full pairs, then the even half alone of an odd samples_per_pair's
+        // last iteration.
+        const std::size_t full =
+            it0 + block == iters_total && samples_per_pair % 2 == 1
+                ? block - 1
+                : block;
+        for (std::size_t j = 0; j < full; ++j) {
           *req_out++ = req_e[j];
           *tot_out++ = req_e[j] + rep_e[j];
-          if (2 * (it0 + j) + 1 < samples_per_pair) {
-            *req_out++ = req_o[j];
-            *tot_out++ = req_o[j] + rep_o[j];
-          }
+          *req_out++ = req_o[j];
+          *tot_out++ = req_o[j] + rep_o[j];
+        }
+        if (full < block) {
+          *req_out++ = req_e[full];
+          *tot_out++ = req_e[full] + rep_e[full];
         }
       }
     }
-    sample_count.add(static_cast<std::uint64_t>(
-        buffers[q].shard_offset[s + 1] - buffers[q].shard_offset[s]));
+    sample_count.add(static_cast<std::uint64_t>(qs.shard_offset[s + 1] -
+                                                qs.shard_offset[s]));
   });
+  estimate_calls.add(static_cast<std::uint64_t>(leaders.size()));
 
-  // Merge: one task per (query, request|total buffer), each writing only
+  // Merge: one task per (leader, request|total buffer), each writing only
   // its own fields. A buffer's order is fixed by the shard slices above,
   // whichever worker fills or merges it. Its mean sums that insertion
   // order; its quantiles are PercentileEstimator's nearest ranks, selected
   // exactly by stats/percentile select_ranks (p95 and p99 from one pass
   // of bucket counts), which leaves the buffer as it is.
-  parallel_for(pool, queries.size() * 2, [&](std::size_t task) {
-    const std::size_t q = task / 2;
-    const QueryBuffers& buf = buffers[q];
-    const std::size_t n = buf.shard_offset[shards];
+  parallel_for(pool, leaders.size() * 2, [&](std::size_t task) {
+    const std::size_t q = leaders[task / 2];
+    const QueryState& qs = state[q];
+    const std::size_t n = qs.shard_offset[shards];
     if (n == 0) return;
     const obs::ScopedSpan merge_span(obs::tracer(), "slack_merge", "planner",
                                      "query", static_cast<double>(q));
     if (task % 2 == 0) {
-      const std::span<const double> request(buf.request.get(), n);
+      const std::span<const double> request(qs.request.get(), n);
       out[q].request_mean = insertion_order_mean(request);
       const std::size_t rank = nearest_rank(n, 0.95);
       select_ranks(request, {&rank, 1}, {&out[q].request_p95, 1});
     } else {
-      const std::span<const double> total(buf.total.get(), n);
+      const std::span<const double> total(qs.total.get(), n);
       out[q].total_mean = insertion_order_mean(total);
       const std::size_t ranks[] = {nearest_rank(n, 0.95),
                                    nearest_rank(n, 0.99)};
@@ -284,6 +368,7 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
       out[q].total_p99 = tails[1];
     }
   });
+  for (std::size_t q = 0; q < count; ++q) out[q] = out[state[q].leader];
   return out;
 }
 

@@ -42,8 +42,16 @@
 // quantiles come from an exact radix selection (stats/percentile.h
 // select_ranks) that returns the same values a full sort would, so the
 // merge is parallel and exact.
+//
+// The K sweep's entry also builds its queries in the sampling pass: one
+// prepare item per query runs ahead of the (query, shard) units on the
+// same pool, and a unit waits only for the queries up to its own. Queries
+// equal to an earlier one share its estimate; who leads is decided in
+// query order, so the estimates and the counters are those of the serial
+// build-then-sample order at every worker count.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "consolidate/consolidation.h"
@@ -114,7 +122,29 @@ class SlackEstimator {
                                            bool reference_sampling =
                                                false) const;
 
+  /// Builds query i with prepare(i) and estimates it, in one pool pass:
+  /// the `count` prepare items come ahead of every (query, shard) unit,
+  /// and a unit of query q waits until queries 0..q are built. Query q
+  /// shares the estimate of the first earlier leader j with same(j, q);
+  /// otherwise q leads. Only leaders are sampled and counted. What
+  /// prepare(i) returns must stay valid until the call returns, and
+  /// prepare may run on any worker, concurrently with other prepare items
+  /// and units. When a prepare item throws, units of its query and later
+  /// ones return at once and the call rethrows. Result i is bit-identical
+  /// to estimate() of query i.
+  std::vector<SlackEstimate> estimate_many(
+      std::size_t count, const std::function<Query(std::size_t)>& prepare,
+      const std::function<bool(std::size_t, std::size_t)>& same,
+      ThreadPool* pool = nullptr) const;
+
  private:
+  /// The one sampling pass behind every entry; an empty `same` makes
+  /// every query its own leader.
+  std::vector<SlackEstimate> run(
+      std::size_t count, const std::function<Query(std::size_t)>& prepare,
+      const std::function<bool(std::size_t, std::size_t)>& same,
+      ThreadPool* pool, bool reference_sampling) const;
+
   SlackEstimatorConfig config_;
 };
 

@@ -6,16 +6,22 @@ DemandPredictor::DemandPredictor(DemandPredictorConfig config)
     : config_(config) {}
 
 void DemandPredictor::add_sample(FlowId flow, Bandwidth rate) {
+  window(flow).add(rate);
+}
+
+WindowedPercentile& DemandPredictor::window(FlowId flow) {
   // Constructs the window in place, and only for a new flow: passing a
-  // WindowedPercentile temporary would build (and free) a deque on every
-  // sample.
-  windows_.try_emplace(flow, config_.window).first->second.add(rate);
+  // WindowedPercentile temporary would build (and free) a deque each call.
+  return windows_.try_emplace(flow, config_.window).first->second;
 }
 
 Bandwidth DemandPredictor::predict(FlowId flow) const {
   const auto it = windows_.find(flow);
-  if (it == windows_.end() || it->second.empty()) return 0.0;
-  return it->second.quantile(config_.percentile);
+  return it == windows_.end() ? 0.0 : predict(it->second);
+}
+
+Bandwidth DemandPredictor::predict(const WindowedPercentile& window) const {
+  return window.empty() ? 0.0 : window.quantile(config_.percentile);
 }
 
 std::size_t DemandPredictor::sample_count(FlowId flow) const {

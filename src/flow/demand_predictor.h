@@ -40,6 +40,14 @@ class DemandPredictor {
   /// Number of samples currently held for a flow.
   std::size_t sample_count(FlowId flow) const;
 
+  /// The sample window of a flow, created empty on first use. The
+  /// reference stays valid until forget() or clear(), so a caller may
+  /// look windows up serially and then fill distinct flows' windows from
+  /// several threads (add_sample is window(flow).add(rate)).
+  WindowedPercentile& window(FlowId flow);
+  /// The prediction predict() makes from a flow's window.
+  Bandwidth predict(const WindowedPercentile& window) const;
+
   /// Drops state for flows that ended.
   void forget(FlowId flow);
   void clear();

@@ -56,18 +56,21 @@ Bandwidth LinkUtilization::directed_load(NodeId from, NodeId to) const {
 }
 
 double LinkUtilization::directed_utilization(NodeId from, NodeId to) const {
-  const LinkId lid = graph_->find_link(from, to);
-  if (lid == kInvalidLink) throw std::invalid_argument("nodes not adjacent");
-  const bool forward = graph_->link(lid).a == from;
-  return load_[slot(lid, forward)] / graph_->link(lid).capacity;
+  return directed_utilizations(from, to).utilization;
 }
 
 double LinkUtilization::directed_bursty_utilization(NodeId from,
                                                     NodeId to) const {
+  return directed_utilizations(from, to).bursty;
+}
+
+LinkUtilization::DirectedUtilization LinkUtilization::directed_utilizations(
+    NodeId from, NodeId to) const {
   const LinkId lid = graph_->find_link(from, to);
   if (lid == kInvalidLink) throw std::invalid_argument("nodes not adjacent");
-  const bool forward = graph_->link(lid).a == from;
-  return bursty_load_[slot(lid, forward)] / graph_->link(lid).capacity;
+  const std::size_t at = slot(lid, graph_->link(lid).a == from);
+  const Bandwidth capacity = graph_->link(lid).capacity;
+  return {load_[at] / capacity, bursty_load_[at] / capacity};
 }
 
 double LinkUtilization::max_path_utilization(const Path& path) const {

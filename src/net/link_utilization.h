@@ -38,6 +38,14 @@ class LinkUtilization {
   /// the fraction of time the link is occupied by a line-rate burst.
   double directed_bursty_utilization(NodeId from, NodeId to) const;
 
+  /// Both utilizations of one directed hop, from one link lookup: the
+  /// values directed_utilization and directed_bursty_utilization return.
+  struct DirectedUtilization {
+    double utilization = 0.0;
+    double bursty = 0.0;
+  };
+  DirectedUtilization directed_utilizations(NodeId from, NodeId to) const;
+
   /// Max directed utilization along a node path.
   double max_path_utilization(const Path& path) const;
 

@@ -32,9 +32,9 @@ void PathLatencyEstimator::prepare(const Path& path,
                                    std::vector<PreparedHop>* out) const {
   out->clear();
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    out->push_back(model_.prepare_hop(
-        utilization_->directed_utilization(path[i], path[i + 1]),
-        utilization_->directed_bursty_utilization(path[i], path[i + 1])));
+    const LinkUtilization::DirectedUtilization hop =
+        utilization_->directed_utilizations(path[i], path[i + 1]);
+    out->push_back(model_.prepare_hop(hop.utilization, hop.bursty));
   }
 }
 

@@ -31,8 +31,9 @@ class PathLatencyEstimator {
   /// Precomputes the per-hop sampling constants of `path` into `out`
   /// (cleared first; pass the same scratch vector across calls to reuse
   /// its capacity). The constants depend only on the path and the current
-  /// link utilizations — the two directed-utilization lookups per hop that
-  /// sample_latency() repeats on every draw happen exactly once here.
+  /// link utilizations — the directed-utilization lookups per hop that
+  /// sample_latency() repeats on every draw happen exactly once here, as
+  /// one link lookup per hop.
   void prepare(const Path& path, std::vector<PreparedHop>* out) const;
 
   /// Draws one end-to-end latency from prepared hops. Consumes the RNG

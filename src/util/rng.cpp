@@ -4,6 +4,23 @@
 
 namespace eprons {
 
+namespace {
+
+// The Box–Muller transform of one uniform pair, shared by normal() and
+// NormalDraws so both evaluate the same expressions: returns the cosine
+// variate mean + stddev * r * cos(theta) and stores the sine half
+// r * sin(theta), which normal() caches and later returns as
+// mean + stddev * (r * sin(theta)).
+inline double box_muller(double u1, double u2, double mean, double stddev,
+                         double* sin_half) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  *sin_half = r * std::sin(theta);
+  return mean + stddev * r * std::cos(theta);
+}
+
+}  // namespace
+
 std::uint64_t splitmix64_next(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -76,15 +93,72 @@ double Rng::normal(double mean, double stddev) {
     u1 = uniform();
   } while (u1 <= 0.0);
   u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
   has_cached_normal_ = true;
-  return mean + stddev * r * std::cos(theta);
+  return box_muller(u1, u2, mean, stddev, &cached_normal_);
 }
 
 double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
+}
+
+NormalDraws Rng::draw_normals(std::size_t count) {
+  NormalDraws draws;
+  draws.count_ = count;
+  std::size_t fresh = count;
+  if (count > 0 && has_cached_normal_) {
+    draws.lead_cached_ = true;
+    draws.lead_ = cached_normal_;
+    has_cached_normal_ = false;
+    --fresh;
+  }
+  const std::size_t pairs = (fresh + 1) / 2;
+  draws.uniforms_.resize(2 * pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    double u1;
+    do {
+      u1 = uniform();
+    } while (u1 <= 0.0);
+    draws.uniforms_[2 * p] = u1;
+    draws.uniforms_[2 * p + 1] = uniform();
+  }
+  if (pairs > 0) {
+    // Every pair normal() draws caches its sine half, and an odd count
+    // leaves the last one pending.
+    box_muller(draws.uniforms_[2 * pairs - 2], draws.uniforms_[2 * pairs - 1],
+               0.0, 1.0, &cached_normal_);
+    has_cached_normal_ = fresh % 2 == 1;
+  }
+  return draws;
+}
+
+void NormalDraws::normal(std::size_t first, std::size_t count, double mean,
+                         double stddev, double* out) const {
+  std::size_t i = first;
+  const std::size_t end = first + count;
+  if (lead_cached_ && i == 0 && i < end) {
+    *out++ = mean + stddev * lead_;
+    ++i;
+  }
+  const std::size_t shift = lead_cached_ ? 1 : 0;
+  while (i < end) {
+    const std::size_t k = i - shift;
+    double sin_half;
+    const double cos_variate =
+        box_muller(uniforms_[k / 2 * 2], uniforms_[k / 2 * 2 + 1], mean,
+                   stddev, &sin_half);
+    if (k % 2 == 0) {
+      *out++ = cos_variate;
+      if (++i == end) break;
+    }
+    *out++ = mean + stddev * sin_half;
+    ++i;
+  }
+}
+
+void NormalDraws::lognormal(std::size_t first, std::size_t count, double mu,
+                            double sigma, double* out) const {
+  normal(first, count, mu, sigma, out);
+  for (std::size_t i = 0; i < count; ++i) out[i] = std::exp(out[i]);
 }
 
 double Rng::bounded_pareto(double alpha, double lo, double hi) {

@@ -7,12 +7,41 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace eprons {
 
 /// splitmix64: used to expand a single 64-bit seed into xoshiro state.
 std::uint64_t splitmix64_next(std::uint64_t& state);
+
+/// The uniforms behind `size()` successive Rng::normal() calls, drawn
+/// serially in stream order by Rng::draw_normals. Evaluating them is a pure
+/// function of the stored uniforms, so any thread may evaluate any range:
+/// variate i equals the i-th of those calls bit for bit (both go through
+/// one Box–Muller helper), including a variate the generator had cached.
+class NormalDraws {
+ public:
+  std::size_t size() const { return count_; }
+
+  /// Writes variates [first, first + count) of N(mean, stddev) to out.
+  void normal(std::size_t first, std::size_t count, double mean,
+              double stddev, double* out) const;
+  /// As normal(), exponentiated: the successive lognormal(mu, sigma) calls.
+  void lognormal(std::size_t first, std::size_t count, double mu,
+                 double sigma, double* out) const;
+
+ private:
+  friend class Rng;
+
+  std::size_t count_ = 0;
+  /// Variate 0 is the sine half the generator had cached.
+  bool lead_cached_ = false;
+  double lead_ = 0.0;
+  /// (u1, u2) per Box–Muller pair, in draw order.
+  std::vector<double> uniforms_;
+};
 
 /// xoshiro256** PRNG. Satisfies UniformRandomBitGenerator.
 class Rng {
@@ -61,6 +90,10 @@ class Rng {
   double normal(double mean = 0.0, double stddev = 1.0);
   /// Log-normal: exp(N(mu, sigma)).
   double lognormal(double mu, double sigma);
+  /// Draws the uniforms of the next `count` normal() (or lognormal())
+  /// calls and leaves the generator as those calls would — its state words
+  /// and its cached variate — without evaluating them.
+  NormalDraws draw_normals(std::size_t count);
   /// Bounded Pareto on [lo, hi] with shape alpha.
   double bounded_pareto(double alpha, double lo, double hi);
   /// Bernoulli trial.

@@ -77,6 +77,8 @@ class ThreadPool {
 /// pool (or a single-thread pool, or n <= 1) this is a plain serial loop —
 /// the serial and parallel paths execute the same calls, so any fn whose
 /// iterations are independent yields bit-identical results either way.
+/// Participants claim indices in increasing order, so fn(j) may wait for
+/// an fn(i) with i < j: fn(i) was claimed first and is running or done.
 /// The first exception thrown by any fn(i) is rethrown in the caller after
 /// the whole batch has drained.
 void parallel_for(ThreadPool* pool, std::size_t n,

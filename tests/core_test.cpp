@@ -4,7 +4,11 @@
 // trace generation / replay plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/epoch_controller.h"
 #include "core/joint_optimizer.h"
@@ -344,6 +348,174 @@ TEST(JointOptimizer, InjectedConsolidatorIsUsed) {
   EXPECT_GT(plan.placement.active_switches, 0);
 }
 
+std::uint64_t counter_value(const obs::MetricsSnapshot& snap,
+                            const std::string& name) {
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0u : it->second;
+}
+
+// Routed (request, reply) pairs of a plan: the pairs the slack estimator
+// samples.
+std::uint64_t routed_pairs(const JointPlan& plan) {
+  const auto routed = [&](FlowId id) {
+    return id >= 0 &&
+           static_cast<std::size_t>(id) < plan.placement.flow_paths.size() &&
+           plan.placement.flow_paths[static_cast<std::size_t>(id)].size() >= 2;
+  };
+  std::uint64_t pairs = 0;
+  for (std::size_t i = 0;
+       i < plan.request_flow.size() && i < plan.reply_flow.size(); ++i) {
+    if (routed(plan.request_flow[i]) && routed(plan.reply_flow[i])) ++pairs;
+  }
+  return pairs;
+}
+
+TEST(JointOptimizer, SweepSamplesEachUniqueRoutingOnce) {
+  // At light load several K candidates consolidate to the same routing;
+  // the cold sweep must sample each unique routing once (its leader is the
+  // first candidate that routes so) and hand the estimate to the others,
+  // at every thread count, with the same plan.
+  const FatTree topo(4);
+  const ServiceModel model = core_model();
+  const ServerPowerModel power;
+  Rng rng(1);
+  const FlowSet background =
+      make_background_flows(FlowGenConfig{}, 4, 0.05, 0.1, rng);
+  JointOptimizerConfig config = fast_joint_config();
+  config.slack.samples_per_pair = 41;
+
+  // The unique routings and their samples, one candidate at a time.
+  std::vector<std::vector<Path>> routings;
+  std::uint64_t unique_samples = 0;
+  std::size_t candidates = 0;
+  {
+    const JointOptimizer probe(&topo, &model, &power, config);
+    for (double k = config.k_min; k <= config.k_max + 1e-9;
+         k += config.k_step) {
+      ++candidates;
+      const JointPlan plan = probe.plan_for_k(background, 0.3, k);
+      if (std::find(routings.begin(), routings.end(),
+                    plan.placement.flow_paths) == routings.end()) {
+        routings.push_back(plan.placement.flow_paths);
+        unique_samples += routed_pairs(plan) * 41u;
+      }
+    }
+  }
+  ASSERT_GT(routings.size(), 1u);
+  ASSERT_LT(routings.size(), candidates);
+
+  JointPlan serial_plan;
+  for (const int threads : {1, 2, 4, 8}) {
+    JointOptimizerConfig threaded = config;
+    threaded.runtime.threads = threads;
+    const JointOptimizer optimizer(&topo, &model, &power, threaded);
+    const obs::MetricsSnapshot before = obs::metrics().snapshot();
+    const JointPlan plan = optimize_plan(optimizer, background, 0.3);
+    const obs::MetricsSnapshot after = obs::metrics().snapshot();
+    const auto delta = [&](const std::string& name) {
+      return counter_value(after, name) - counter_value(before, name);
+    };
+    EXPECT_EQ(delta("slack.estimates"), routings.size())
+        << "threads=" << threads;
+    EXPECT_EQ(delta("slack.samples"), unique_samples) << "threads=" << threads;
+    EXPECT_EQ(delta("planner.k_candidates"), candidates)
+        << "threads=" << threads;
+    if (threads == 1) {
+      serial_plan = plan;
+      continue;
+    }
+    EXPECT_EQ(plan.k, serial_plan.k) << "threads=" << threads;
+    EXPECT_EQ(plan.feasible, serial_plan.feasible) << "threads=" << threads;
+    EXPECT_EQ(plan.placement.flow_paths, serial_plan.placement.flow_paths)
+        << "threads=" << threads;
+    EXPECT_EQ(plan.slack.request_mean, serial_plan.slack.request_mean);
+    EXPECT_EQ(plan.slack.request_p95, serial_plan.slack.request_p95);
+    EXPECT_EQ(plan.slack.total_mean, serial_plan.slack.total_mean);
+    EXPECT_EQ(plan.slack.total_p95, serial_plan.slack.total_p95);
+    EXPECT_EQ(plan.slack.total_p99, serial_plan.slack.total_p99);
+    EXPECT_EQ(plan.total_power, serial_plan.total_power)
+        << "threads=" << threads;
+  }
+}
+
+// Greedy placement, except that consolidating at one K throws.
+class ThrowAtK : public Consolidator {
+ public:
+  explicit ThrowAtK(double k) : k_(k) {}
+  ConsolidationResult consolidate(
+      const Topology& topo, const FlowSet& flows,
+      const ConsolidationConfig& config) const override {
+    if (config.scale_factor_k == k_) {
+      throw std::runtime_error("consolidation failed");
+    }
+    return greedy_.consolidate(topo, flows, config);
+  }
+  const char* name() const override { return "throw-at-k"; }
+
+ private:
+  double k_;
+  GreedyConsolidator greedy_;
+};
+
+TEST(JointOptimizer, ConsolidatorThrowAtOneKIsRethrown) {
+  // A candidate whose consolidation throws must not leave the sweep's
+  // sampling units waiting for it: optimize() rethrows, at every thread
+  // count, whichever K fails.
+  const FatTree topo(4);
+  const ServiceModel model = core_model();
+  const ServerPowerModel power;
+  Rng rng(1);
+  const FlowSet background =
+      make_background_flows(FlowGenConfig{}, 4, 0.05, 0.1, rng);
+  for (const double bad_k : {1.0, 3.0, 5.0}) {
+    const ThrowAtK consolidator(bad_k);
+    for (const int threads : {1, 2, 4, 8}) {
+      JointOptimizerConfig config = fast_joint_config();
+      config.slack.samples_per_pair = 20;
+      config.runtime.threads = threads;
+      const JointOptimizer optimizer(&topo, &model, &power, config,
+                                     &consolidator);
+      EXPECT_THROW(optimize_plan(optimizer, background, 0.3),
+                   std::runtime_error)
+          << "K=" << bad_k << " threads=" << threads;
+    }
+  }
+}
+
+TEST(JointOptimizer, RejectsBadKSweepAtConstruction) {
+  // A step <= 0 would sweep forever and a NaN anywhere would sweep one
+  // meaningless candidate; the optimizer refuses both when it is built.
+  const FatTree topo(4);
+  const ServiceModel model = core_model();
+  const ServerPowerModel power;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto make = [&](const JointOptimizerConfig& config) {
+    const JointOptimizer optimizer(&topo, &model, &power, config);
+  };
+  for (const double step : {0.0, -0.0, -1.0, nan, inf, -inf}) {
+    JointOptimizerConfig config;
+    config.k_step = step;
+    EXPECT_THROW(make(config), std::invalid_argument) << "k_step=" << step;
+  }
+  for (const double bad : {nan, inf, -inf}) {
+    JointOptimizerConfig low;
+    low.k_min = bad;
+    EXPECT_THROW(make(low), std::invalid_argument) << "k_min=" << bad;
+    JointOptimizerConfig high;
+    high.k_max = bad;
+    EXPECT_THROW(make(high), std::invalid_argument) << "k_max=" << bad;
+  }
+  JointOptimizerConfig inverted;
+  inverted.k_min = 3.0;
+  inverted.k_max = 2.0;
+  EXPECT_THROW(make(inverted), std::invalid_argument);
+  JointOptimizerConfig pinned;
+  pinned.k_min = pinned.k_max = 2.0;
+  pinned.k_step = 0.5;
+  EXPECT_NO_THROW(make(pinned));
+}
+
 TEST(TraceReplay, SchemeNames) {
   EXPECT_STREQ(scheme_name(Scheme::NoPowerManagement), "no-power-management");
   EXPECT_STREQ(scheme_name(Scheme::Eprons), "eprons");
@@ -410,6 +582,94 @@ TEST(EpochController, InvariantsHoldUnderFailureStorm) {
         EXPECT_TRUE(g.connected(hosts[0], targets, controller.current_mask(),
                                 &cursor.overlay()))
             << "epoch " << e << ": recovery left hosts disconnected";
+      }
+    }
+  }
+}
+
+// The demand measurement as a serial loop over flows and samples: the
+// reference the controller's bulk draws and per-flow pool tasks must match.
+struct SerialMeasurement {
+  explicit SerialMeasurement(const DemandPredictorConfig& config)
+      : predictor(config) {}
+
+  void run(const FlowSet& background, int samples_per_epoch, double sigma,
+           Rng& rng) {
+    demands.clear();
+    double ratio_sum = 0.0;
+    for (const Flow& flow : background.flows()) {
+      for (int s = 0; s < samples_per_epoch; ++s) {
+        const double observed = flow.demand * rng.lognormal(0.0, sigma);
+        predictor.add_sample(flow.id, observed);
+      }
+      const Bandwidth demand = predictor.predict(flow.id);
+      demands.push_back(demand);
+      if (flow.demand > 0.0) ratio_sum += demand / flow.demand;
+    }
+    ratio = background.empty()
+                ? 0.0
+                : ratio_sum / static_cast<double>(background.size());
+  }
+
+  DemandPredictor predictor;
+  std::vector<Bandwidth> demands;
+  double ratio = 0.0;
+};
+
+TEST(EpochController, MeasurementMatchesSerialReference) {
+  // run_epoch's measurement (serial Box–Muller uniforms, per-flow draws,
+  // windows and percentiles on the optimizer's pool) must predict what the
+  // serial loop predicts and leave the rng where it leaves it, across
+  // epochs (windows filling and turning over, a variate cached or not
+  // between epochs) and at every thread count. A 10-sample window makes
+  // the order of a flow's samples observable: it keeps only the last ten.
+  const FatTree topo(4);
+  const ServiceModel model = core_model();
+  const ServerPowerModel power;
+  FlowGenConfig gen;
+  gen.exclude_host = 0;
+  Rng flows_rng(5);
+  const FlowSet background =
+      make_background_flows(gen, 5, 0.2, 0.1, flows_rng);
+  ASSERT_FALSE(background.empty());
+  for (const std::size_t window : {std::size_t{300}, std::size_t{10}}) {
+    for (const int samples : {0, 1, 7, 300}) {
+      for (const int threads : {1, 2, 4, 8}) {
+        EpochControllerConfig config;
+        config.joint.slack.samples_per_pair = 20;
+        config.predictor.window = window;
+        config.samples_per_epoch = samples;
+        config.runtime.threads = threads;
+        config.joint.runtime.threads = threads;
+        EpochController controller(&topo, &model, &power, config);
+        SerialMeasurement reference(config.predictor);
+        Rng rng(100 + samples);
+        Rng reference_rng(100 + samples);
+        // Start the first epoch with a variate cached.
+        rng.normal();
+        reference_rng.normal();
+        for (int e = 0; e < 3; ++e) {
+          const std::string label = "window=" + std::to_string(window) +
+                                    " samples=" + std::to_string(samples) +
+                                    " threads=" + std::to_string(threads) +
+                                    " epoch=" + std::to_string(e);
+          const EpochReport report =
+              controller.run_epoch(background, 0.25, rng);
+          reference.run(background, samples, config.observation_sigma,
+                        reference_rng);
+          EXPECT_EQ(report.prediction_ratio, reference.ratio) << label;
+          const std::vector<Flow>& planned =
+              controller.last_plan().flows.flows();
+          ASSERT_GE(planned.size(), reference.demands.size()) << label;
+          for (std::size_t i = 0; i < reference.demands.size(); ++i) {
+            EXPECT_EQ(planned[i].demand, reference.demands[i])
+                << label << " flow=" << i;
+          }
+          Rng probe = rng;
+          Rng reference_probe = reference_rng;
+          EXPECT_EQ(probe.normal(), reference_probe.normal()) << label;
+          EXPECT_EQ(probe.next(), reference_probe.next()) << label;
+        }
       }
     }
   }

@@ -6,10 +6,12 @@
 #include <cstring>
 #include <sstream>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/cli.h"
@@ -111,6 +113,63 @@ TEST(Rng, NormalMomentsApproximatelyCorrect) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 5.0, 0.05);
   EXPECT_NEAR(var, 4.0, 0.1);
+}
+
+TEST(Rng, DrawNormalsMatchSuccessiveCalls) {
+  // draw_normals(n) then evaluating the draws must give the bits of n
+  // successive normal()/lognormal() calls — whole, one by one, or in
+  // ranges that start on either half of a Box–Muller pair — and leave the
+  // generator where those calls leave it, cached variate included.
+  for (const bool cached : {false, true}) {
+    for (const std::size_t count :
+         {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 1000u}) {
+      const std::string label = "count=" + std::to_string(count) +
+                                " cached=" + std::to_string(cached);
+      for (const bool log : {false, true}) {
+        Rng serial(41 + count);
+        Rng bulk(41 + count);
+        if (cached) {
+          serial.normal();  // leaves the sine half cached
+          bulk.normal();
+        }
+        std::vector<double> expected(count);
+        for (double& x : expected) {
+          x = log ? serial.lognormal(0.5, 0.2) : serial.normal(3.0, 1.5);
+        }
+        const NormalDraws draws = bulk.draw_normals(count);
+        ASSERT_EQ(draws.size(), count) << label;
+        const auto eval = [&](std::size_t first, std::size_t n, double* out) {
+          if (log) {
+            draws.lognormal(first, n, 0.5, 0.2, out);
+          } else {
+            draws.normal(first, n, 3.0, 1.5, out);
+          }
+        };
+        std::vector<double> whole(count);
+        eval(0, count, whole.data());
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(whole[i], expected[i]) << label << " i=" << i;
+          double one;
+          eval(i, 1, &one);
+          EXPECT_EQ(one, expected[i]) << label << " single i=" << i;
+        }
+        for (std::size_t first = 0; first < count; first += 3) {
+          double part[3];
+          const std::size_t n = std::min<std::size_t>(3, count - first);
+          eval(first, n, part);
+          for (std::size_t j = 0; j < n; ++j) {
+            EXPECT_EQ(part[j], expected[first + j])
+                << label << " chunk i=" << first + j;
+          }
+        }
+        // The generators continue identically: a normal() reads the cached
+        // half (or draws a fresh pair), then the raw stream.
+        EXPECT_EQ(bulk.normal(), serial.normal()) << label;
+        EXPECT_EQ(bulk.normal(), serial.normal()) << label;
+        for (int i = 0; i < 4; ++i) EXPECT_EQ(bulk.next(), serial.next());
+      }
+    }
+  }
 }
 
 TEST(Rng, PoissonMeanMatchesSmallAndLarge) {

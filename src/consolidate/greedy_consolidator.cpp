@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
-#include <span>
 
 #include "obs/telemetry.h"
 #include "topo/path_catalog.h"
@@ -156,36 +155,45 @@ struct Packer {
   }
 
   /// Charges the flow's demand along a catalog path and turns it on —
-  /// apply() with every Graph lookup replaced by the precomputed arrays.
+  /// apply() with every Graph lookup replaced by the precomputed arrays,
+  /// hop by hop: access uplink, route hops, access downlink. Hosts are
+  /// always on, so only the route's switches are marked.
   void apply_cataloged(std::size_t fi, const CatalogPath& cp) {
     const Flow& flow = flows[fi];
     const Bandwidth scaled = flow.scaled_demand(config.scale_factor_k);
-    const std::span<const std::uint32_t> arc_slots = cp.arc_slots();
-    const std::span<const std::uint8_t> host_adjacent = cp.host_adjacent();
-    for (std::size_t h = 0; h < arc_slots.size(); ++h) {
-      // May go negative on overflow.
-      residual[arc_slots[h]] -= host_adjacent[h] ? flow.demand : scaled;
-    }
-    const std::span<const NodeId> nodes = cp.nodes();
-    result.flow_paths[fi].assign(nodes.begin(), nodes.end());
-    for (NodeId n : nodes) {
+    const SwitchRoute& route = cp.route();
+    // May go negative on overflow.
+    residual[cp.source().uplink_slot] -= flow.demand;
+    for (std::uint32_t slot : route.arc_slots()) residual[slot] -= scaled;
+    residual[cp.destination().downlink_slot()] -= flow.demand;
+    result.flow_paths[fi] = cp.nodes();
+    for (NodeId n : route.switches()) {
       result.switch_on[static_cast<std::size_t>(n)] = true;
     }
-    for (LinkId l : cp.links()) {
+    result.link_on[static_cast<std::size_t>(cp.source().link)] = true;
+    for (LinkId l : route.links()) {
       result.link_on[static_cast<std::size_t>(l)] = true;
     }
+    result.link_on[static_cast<std::size_t>(cp.destination().link)] = true;
   }
 
   /// Marks in `usable` the catalog paths that pass the allowed-switch and
-  /// blocked-link masks; returns how many do.
-  std::size_t mark_usable(const std::vector<CatalogPath>& cpaths) {
+  /// blocked-link masks; returns how many do. Hosts pass any switch mask,
+  /// and a blocked access link blocks every path of the pair.
+  std::size_t mark_usable(const PathCatalog::Paths& cpaths) {
     usable.assign(cpaths.size(), 1);
+    const bool access_blocked =
+        !config.blocked_links.empty() &&
+        (config.blocked_links[static_cast<std::size_t>(
+             cpaths.source().link)] ||
+         config.blocked_links[static_cast<std::size_t>(
+             cpaths.destination().link)]);
     std::size_t usable_count = 0;
     for (std::size_t p = 0; p < cpaths.size(); ++p) {
-      const CatalogPath& cp = cpaths[p];
-      bool ok = true;
-      if (!config.allowed_switches.empty()) {
-        for (NodeId n : cp.switches()) {
+      const SwitchRoute& route = cpaths.routes()[p];
+      bool ok = !access_blocked;
+      if (ok && !config.allowed_switches.empty()) {
+        for (NodeId n : route.switches()) {
           if (!config.allowed_switches[static_cast<std::size_t>(n)]) {
             ok = false;
             break;
@@ -193,7 +201,7 @@ struct Packer {
         }
       }
       if (ok && !config.blocked_links.empty()) {
-        for (LinkId l : cp.links()) {
+        for (LinkId l : route.links()) {
           if (config.blocked_links[static_cast<std::size_t>(l)]) {
             ok = false;
             break;
@@ -212,7 +220,7 @@ struct Packer {
   /// relative candidate order is preserved, so the same path wins.
   void place_cataloged(std::size_t fi, obs::Counter& flows_placed) {
     const Flow& flow = flows[fi];
-    const std::vector<CatalogPath>& cpaths =
+    const PathCatalog::Paths cpaths =
         config.path_catalog->pair(flow.src_host, flow.dst_host);
     // With neither mask set, every path is usable and the filter is skipped.
     const bool filtered =
@@ -225,30 +233,34 @@ struct Packer {
       return;
     }
 
+    // Every path of the pair shares its two access hops, charged the
+    // unscaled demand; the route hops between them the scaled one.
+    const std::uint32_t uplink = cpaths.source().uplink_slot;
+    const std::uint32_t downlink = cpaths.destination().downlink_slot();
     const Bandwidth scaled = flow.scaled_demand(config.scale_factor_k);
     std::size_t best = cpaths.size();
     double best_score = std::numeric_limits<double>::max();
     for (std::size_t p = 0; p < cpaths.size(); ++p) {
       if (filtered && !usable[p]) continue;
-      const CatalogPath& cp = cpaths[p];
-      const std::span<const std::uint32_t> arc_slots = cp.arc_slots();
-      const std::span<const std::uint8_t> host_adjacent = cp.host_adjacent();
-      bool fits = true;
+      const SwitchRoute& route = cpaths.routes()[p];
       double min_headroom = std::numeric_limits<double>::infinity();
-      for (std::size_t h = 0; h < arc_slots.size(); ++h) {
-        const Bandwidth need = host_adjacent[h] ? flow.demand : scaled;
-        const Bandwidth r = residual[arc_slots[h]];
+      // Hop by hop, as the enumerating scan: record the headroom, then
+      // stop at the first arc the flow does not fit.
+      const auto hop_fits = [&](std::uint32_t slot, Bandwidth need) {
+        const Bandwidth r = residual[slot];
         min_headroom = std::min(min_headroom, r - need);
-        if (r + 1e-9 < need) {
-          fits = false;
-          break;
-        }
+        return !(r + 1e-9 < need);
+      };
+      bool fits = hop_fits(uplink, flow.demand);
+      for (std::uint32_t slot : route.arc_slots()) {
+        if (!fits) break;
+        fits = hop_fits(slot, scaled);
       }
-      if (!fits) continue;
+      if (!fits || !hop_fits(downlink, flow.demand)) continue;
       double score;
       if (options.objective == PlacementObjective::MinimizeSwitches) {
         int new_switches = 0;
-        for (NodeId n : cp.switches()) {
+        for (NodeId n : route.switches()) {
           if (!result.switch_on[static_cast<std::size_t>(n)]) ++new_switches;
         }
         score = new_switches;
@@ -269,9 +281,11 @@ struct Packer {
       for (std::size_t p = 0; p < cpaths.size(); ++p) {
         if (filtered && !usable[p]) continue;
         Bandwidth bottleneck = std::numeric_limits<double>::infinity();
-        for (std::uint32_t slot : cpaths[p].arc_slots()) {
+        bottleneck = std::min(bottleneck, residual[uplink]);
+        for (std::uint32_t slot : cpaths.routes()[p].arc_slots()) {
           bottleneck = std::min(bottleneck, residual[slot]);
         }
+        bottleneck = std::min(bottleneck, residual[downlink]);
         if (bottleneck > best_bottleneck) {
           best_bottleneck = bottleneck;
           best = p;

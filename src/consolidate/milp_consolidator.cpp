@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "obs/telemetry.h"
@@ -84,14 +85,12 @@ PathMilp build_path_milp(const Topology& topo, const FlowSet& flows,
     const Flow& flow = flows[i];
     // The memoized catalog (when wired in) carries the same enumeration in
     // the same order, with the per-hop link/direction lookups precomputed.
-    const std::vector<CatalogPath>* cataloged =
-        config.path_catalog != nullptr
-            ? &config.path_catalog->pair(flow.src_host, flow.dst_host)
-            : nullptr;
-    if (cataloged != nullptr) {
+    std::optional<PathCatalog::Paths> cataloged;
+    if (config.path_catalog != nullptr) {
+      cataloged = config.path_catalog->pair(flow.src_host, flow.dst_host);
       milp.flow_paths[i].reserve(cataloged->size());
-      for (const CatalogPath& cp : *cataloged) {
-        milp.flow_paths[i].emplace_back(cp.nodes().begin(), cp.nodes().end());
+      for (std::size_t p = 0; p < cataloged->size(); ++p) {
+        milp.flow_paths[i].push_back((*cataloged)[p].nodes());
       }
     } else {
       milp.flow_paths[i] = topo.all_paths(flow.src_host, flow.dst_host);
@@ -105,15 +104,14 @@ PathMilp build_path_milp(const Topology& topo, const FlowSet& flows,
       choose.push_back({z, 1.0});
       const Path& path = milp.flow_paths[i][p];
       for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-        const LinkId lid = cataloged != nullptr
-                               ? (*cataloged)[p].links()[h]
-                               : graph.find_link(path[h], path[h + 1]);
-        const bool forward = cataloged != nullptr
-                                 ? ((*cataloged)[p].arc_slots()[h] & 1u) == 0u
+        const LinkId lid = cataloged ? (*cataloged)[p].link(h)
+                                     : graph.find_link(path[h], path[h + 1]);
+        const bool forward = cataloged
+                                 ? ((*cataloged)[p].arc_slot(h) & 1u) == 0u
                                  : graph.link(lid).a == path[h];
         const bool host_adjacent =
-            cataloged != nullptr
-                ? (*cataloged)[p].host_adjacent()[h] != 0
+            cataloged
+                ? (*cataloged)[p].host_adjacent(h)
                 : !graph.is_switch(path[h]) || !graph.is_switch(path[h + 1]);
         const double arc_load = host_adjacent ? flow.demand : scaled;
         if (arc_load > 0.0) {

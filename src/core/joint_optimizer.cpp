@@ -73,7 +73,8 @@ obs::PlanCandidateExplain explain_candidate(const JointPlan& plan) {
   return row;
 }
 
-/// The config, once its K sweep is known to be finite and non-empty.
+/// The config, once its K sweep is known to be finite and non-empty and
+/// its slack sampling well-formed.
 JointOptimizerConfig validated(JointOptimizerConfig config) {
   if (!std::isfinite(config.k_step) || config.k_step <= 0.0) {
     throw std::invalid_argument(
@@ -86,6 +87,11 @@ JointOptimizerConfig validated(JointOptimizerConfig config) {
   if (config.k_min > config.k_max) {
     throw std::invalid_argument(
         "JointOptimizerConfig.k_min must not exceed k_max");
+  }
+  if (config.slack.shards < 1 || config.slack.samples_per_pair < 0) {
+    throw std::invalid_argument(
+        "JointOptimizerConfig.slack needs shards >= 1 and samples_per_pair "
+        ">= 0");
   }
   return config;
 }

@@ -183,8 +183,9 @@ class JointOptimizer {
   /// must outlive the optimizer and be thread-safe (see Consolidator).
   /// Construction eagerly builds the DVFS CCDF tables (one FFT batch per
   /// queue depth up to predictor.max_queue_depth). Throws
-  /// std::invalid_argument unless k_step is a positive finite number and
-  /// k_min <= k_max are finite.
+  /// std::invalid_argument unless k_step is a positive finite number,
+  /// k_min <= k_max are finite, slack.shards >= 1 and
+  /// slack.samples_per_pair >= 0.
   JointOptimizer(const Topology* topo, const ServiceModel* service_model,
                  const ServerPowerModel* power_model,
                  JointOptimizerConfig config = {},

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -33,7 +34,15 @@ double insertion_order_mean(std::span<const double> v) {
 }  // namespace
 
 SlackEstimator::SlackEstimator(SlackEstimatorConfig config)
-    : config_(std::move(config)) {}
+    : config_(std::move(config)) {
+  if (config_.shards < 1) {
+    throw std::invalid_argument("SlackEstimatorConfig.shards must be >= 1");
+  }
+  if (config_.samples_per_pair < 0) {
+    throw std::invalid_argument(
+        "SlackEstimatorConfig.samples_per_pair must be >= 0");
+  }
+}
 
 SlackEstimate SlackEstimator::estimate(const Query& query, ThreadPool* pool,
                                        bool reference_sampling) const {
@@ -67,12 +76,9 @@ std::vector<SlackEstimate> SlackEstimator::run(
       obs::metrics().counter("slack.estimates");
   static obs::Counter& sample_count = obs::metrics().counter("slack.samples");
 
-  const std::size_t shards =
-      static_cast<std::size_t>(config_.shards < 1 ? 1 : config_.shards);
+  const std::size_t shards = static_cast<std::size_t>(config_.shards);
   const std::size_t samples_per_pair =
-      config_.samples_per_pair < 0
-          ? 0
-          : static_cast<std::size_t>(config_.samples_per_pair);
+      static_cast<std::size_t>(config_.samples_per_pair);
   // Every shard draws from its own split() stream of the experiment seed,
   // and every query reseeds from scratch (exactly as a standalone
   // estimate), so the streams — and therefore the estimates — are

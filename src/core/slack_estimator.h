@@ -87,6 +87,8 @@ struct SlackEstimatorConfig {
 /// an ad-hoc sampling loop.
 class SlackEstimator {
  public:
+  /// Throws std::invalid_argument when config.shards < 1 or
+  /// config.samples_per_pair < 0.
   explicit SlackEstimator(SlackEstimatorConfig config = {});
 
   const SlackEstimatorConfig& config() const { return config_; }

@@ -33,7 +33,7 @@ TimedFlowSet make_timed_background_flows(const TimedFlowGenConfig& config,
   const std::vector<std::pair<int, int>> pairs =
       background_endpoints(config.endpoints, count);
 
-  const int min_window = std::max(1, config.min_window_epochs);
+  const int min_window = std::clamp(config.min_window_epochs, 1, config.epochs);
   const int max_window =
       std::min(config.epochs, std::max(min_window, config.max_window_epochs));
 

@@ -28,7 +28,15 @@ class Topology {
   /// workload generators to spread elephants across access switches.
   virtual int hosts_per_access_switch() const = 0;
 
-  /// Every loop-free shortest path between two distinct hosts.
+  /// Every loop-free shortest path between two distinct hosts. Throws
+  /// std::invalid_argument when src_host == dst_host.
+  ///
+  /// Contract (the PathCatalog shares route lists on it): every host is
+  /// single-homed — one link, to its access switch — so each path is
+  /// `host, access switch, ..., access switch, host` with only switches
+  /// between its ends. The switch part of the list, paths and order alike,
+  /// depends only on the two hosts' access switches: two host pairs on the
+  /// same access switches get the same routes in the same order.
   virtual std::vector<Path> all_paths(int src_host, int dst_host) const = 0;
   /// As all_paths, filtered to paths whose switches are all on.
   virtual std::vector<Path> active_paths(

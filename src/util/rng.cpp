@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace eprons {
 
@@ -64,7 +65,14 @@ Rng Rng::split() {
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  if (hi < lo) {
+    throw std::invalid_argument("Rng::uniform_int: empty range (hi < lo)");
+  }
+  // Unsigned arithmetic: hi - lo may exceed INT64_MAX, and the full int64
+  // range wraps the span to 0, where every 64-bit draw is in range.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+  if (span == 0) return static_cast<std::int64_t>(next());
   // Rejection-free Lemire-style bounded draw would be fine; modulo bias for
   // span << 2^64 is negligible for simulation purposes, but avoid it anyway.
   std::uint64_t x, r;
@@ -72,7 +80,7 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
     x = next();
     r = x % span;
   } while (x - r > ~std::uint64_t{0} - span + 1);
-  return lo + static_cast<std::int64_t>(r);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + r);
 }
 
 double Rng::exponential(double mean) {

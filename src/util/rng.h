@@ -82,7 +82,8 @@ class Rng {
   }
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive. Throws std::invalid_argument
+  /// when hi < lo (an empty range), drawing nothing.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// Exponential with given mean (mean = 1/lambda).
   double exponential(double mean);

@@ -516,6 +516,40 @@ TEST(JointOptimizer, RejectsBadKSweepAtConstruction) {
   EXPECT_NO_THROW(make(pinned));
 }
 
+TEST(SlackEstimator, RejectsBadConfigAtConstruction) {
+  // The estimator used to run shards < 1 as one shard and a negative
+  // sample count as zero; both configs are refused when built, by the
+  // estimator and by the optimizer that owns its config.
+  const FatTree topo(4);
+  const ServiceModel model = core_model();
+  const ServerPowerModel power;
+  for (const int shards : {0, -1}) {
+    SlackEstimatorConfig slack;
+    slack.shards = shards;
+    EXPECT_THROW(SlackEstimator{slack}, std::invalid_argument)
+        << "shards=" << shards;
+    JointOptimizerConfig config;
+    config.slack = slack;
+    EXPECT_THROW(JointOptimizer(&topo, &model, &power, config),
+                 std::invalid_argument)
+        << "shards=" << shards;
+  }
+  SlackEstimatorConfig negative;
+  negative.samples_per_pair = -1;
+  EXPECT_THROW(SlackEstimator{negative}, std::invalid_argument);
+  JointOptimizerConfig config;
+  config.slack = negative;
+  EXPECT_THROW(JointOptimizer(&topo, &model, &power, config),
+               std::invalid_argument);
+  // The boundaries stay legal.
+  SlackEstimatorConfig edge;
+  edge.shards = 1;
+  edge.samples_per_pair = 0;
+  EXPECT_NO_THROW(SlackEstimator{edge});
+  config.slack = edge;
+  EXPECT_NO_THROW(JointOptimizer(&topo, &model, &power, config));
+}
+
 TEST(TraceReplay, SchemeNames) {
   EXPECT_STREQ(scheme_name(Scheme::NoPowerManagement), "no-power-management");
   EXPECT_STREQ(scheme_name(Scheme::Eprons), "eprons");

@@ -380,6 +380,23 @@ TEST(ScheduleBehavior, GeneratorRespectsHorizonAndDeterminism) {
   }
 }
 
+TEST(ScheduleBehavior, GeneratorClampsWindowMinimumToHorizon) {
+  // A minimum window longer than the horizon used to reach
+  // Rng::uniform_int with an empty release range (and die on a modulo by
+  // zero); it is clamped to the horizon, as the config documents.
+  TimedFlowGenConfig config;
+  config.epochs = 4;
+  config.min_window_epochs = 5;
+  config.max_window_epochs = 8;
+  Rng rng(5);
+  const TimedFlowSet flows = make_timed_background_flows(config, 16, rng);
+  ASSERT_EQ(flows.size(), 16u);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    EXPECT_EQ(flows[i].release_epoch, 0);
+    EXPECT_EQ(flows[i].deadline_epoch, config.epochs - 1);
+  }
+}
+
 TEST(ScheduleConfig, ValidationRejectsMalformedInstances) {
   TemporalSchedulerConfig bad_epochs;
   bad_epochs.epochs = 0;

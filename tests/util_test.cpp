@@ -92,6 +92,34 @@ TEST(Rng, UniformIntCoversRangeInclusive) {
   EXPECT_TRUE(saw_hi);
 }
 
+TEST(Rng, UniformIntRejectsEmptyRange) {
+  // hi == lo - 1 used to wrap the span to 0 and die on a modulo by zero;
+  // any other hi < lo drew values outside the range. Both throw now, and
+  // the throw leaves the stream untouched.
+  Rng rng(11);
+  EXPECT_THROW(rng.uniform_int(5, 4), std::invalid_argument);
+  EXPECT_THROW(rng.uniform_int(0, -1), std::invalid_argument);
+  EXPECT_THROW(rng.uniform_int(3, -7), std::invalid_argument);
+  Rng fresh(11);
+  EXPECT_EQ(rng.uniform_int(2, 5), fresh.uniform_int(2, 5));
+  // A one-value range still takes one draw.
+  EXPECT_EQ(rng.uniform_int(4, 4), 4);
+  EXPECT_EQ(fresh.uniform_int(4, 4), 4);
+  EXPECT_EQ(rng(), fresh());
+
+  // The full int64 range also wraps the span to 0: every draw is in range.
+  constexpr std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  Rng wide(13);
+  Rng raw(13);
+  EXPECT_EQ(wide.uniform_int(lo, hi), static_cast<std::int64_t>(raw()));
+  // A span above INT64_MAX stays within its bounds.
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t v = wide.uniform_int(lo + 1, hi);
+    EXPECT_GE(v, lo + 1);
+  }
+}
+
 TEST(Rng, ExponentialMeanApproximatelyCorrect) {
   Rng rng(11);
   double total = 0.0;

@@ -7,11 +7,13 @@
 // times optimize() through two implementations of that pipeline:
 //
 //   * `reference` — the retained straight-line paths: per-sample
-//     Monte-Carlo walks, per-decision equivalent-work convolutions, per-call
-//     path enumeration (PlanRequest use_reference_* all set);
-//   * `fast` — the production paths: chunked antithetic sampling with
-//     vectorized block logs, per-frequency CCDF tables, the memoized
-//     PathCatalog, and placement-deduplicated batch slack estimation.
+//     Monte-Carlo walks in a K-order loop of one-candidate passes,
+//     frequency-valued violation probabilities, per-call path enumeration
+//     (PlanRequest use_reference_* all set);
+//   * `fast` — the production paths: one pass over every candidate with
+//     chunked antithetic sampling and vectorized block logs, violation
+//     probabilities read by grid index, the memoized PathCatalog, and
+//     placement-deduplicated slack estimation.
 //
 // The fast rows run at 1/2/4 worker threads. Every row must produce a
 // byte-identical plan (the determinism contract: results are a function of

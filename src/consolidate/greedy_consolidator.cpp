@@ -427,7 +427,6 @@ ConsolidationResult GreedyConsolidator::consolidate(
   for (std::size_t fi : packer.ffd_order()) packer.place(fi, flows_placed);
 
   if (packer.overloaded) overflows.add();
-  last_overloaded_.store(packer.overloaded, std::memory_order_relaxed);
   // An overloaded placement exists but violated the margin somewhere (or
   // left a pair disconnected); callers treat it as "infeasible at this K".
   packer.result.feasible = !packer.overloaded;
@@ -515,7 +514,6 @@ ConsolidationResult GreedyConsolidator::consolidate_incremental(
   warm_packs.add();
   flows_kept.add(kept);
   flows_repacked.add(repacked);
-  last_overloaded_.store(false, std::memory_order_relaxed);
   packer.result.feasible = true;
   packer.result.warm_started = true;
   finalize_result(packer.graph, config, packer.result);

@@ -17,8 +17,6 @@
 // the result is reported infeasible.
 #pragma once
 
-#include <atomic>
-
 #include "consolidate/consolidation.h"
 
 namespace eprons {
@@ -40,17 +38,6 @@ class GreedyConsolidator : public Consolidator {
  public:
   explicit GreedyConsolidator(const Topology* topo = nullptr,
                               GreedyConsolidatorOptions options = {});
-
-  GreedyConsolidator(const GreedyConsolidator& other)
-      : topo_(other.topo_),
-        options_(other.options_),
-        last_overloaded_(other.last_overloaded_.load()) {}
-  GreedyConsolidator& operator=(const GreedyConsolidator& other) {
-    topo_ = other.topo_;
-    options_ = other.options_;
-    last_overloaded_.store(other.last_overloaded_.load());
-    return *this;
-  }
 
   /// Consolidator interface; thread-safe for concurrent calls.
   ConsolidationResult consolidate(
@@ -75,14 +62,9 @@ class GreedyConsolidator : public Consolidator {
   ConsolidationResult consolidate(const FlowSet& flows,
                                   const ConsolidationConfig& config) const;
 
-  /// True if the last consolidate() had to overflow some link beyond the
-  /// safety margin.
-  bool last_overloaded() const { return last_overloaded_.load(); }
-
  private:
   const Topology* topo_;
   GreedyConsolidatorOptions options_;
-  mutable std::atomic<bool> last_overloaded_{false};
 };
 
 }  // namespace eprons

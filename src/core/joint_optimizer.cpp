@@ -74,7 +74,7 @@ obs::PlanCandidateExplain explain_candidate(const JointPlan& plan) {
 }
 
 /// The config, once its K sweep is known to be finite and non-empty and
-/// its slack sampling well-formed.
+/// its slack sampling and server power prediction well-formed.
 JointOptimizerConfig validated(JointOptimizerConfig config) {
   if (!std::isfinite(config.k_step) || config.k_step <= 0.0) {
     throw std::invalid_argument(
@@ -92,6 +92,14 @@ JointOptimizerConfig validated(JointOptimizerConfig config) {
     throw std::invalid_argument(
         "JointOptimizerConfig.slack needs shards >= 1 and samples_per_pair "
         ">= 0");
+  }
+  if (config.predictor.max_queue_depth < 1) {
+    throw std::invalid_argument(
+        "JointOptimizerConfig.predictor.max_queue_depth must be >= 1");
+  }
+  if (!(config.predictor.target_vp >= 0.0)) {
+    throw std::invalid_argument(
+        "JointOptimizerConfig.predictor.target_vp must be >= 0");
   }
   return config;
 }
@@ -116,10 +124,10 @@ JointOptimizer::JointOptimizer(const Topology* topo,
       power_model_(power_model),
       config_(validated(std::move(config))),
       consolidator_(consolidator ? consolidator : &default_consolidator_),
-      path_catalog_(topo),
-      vp_table_(std::make_unique<VpTable>(
-          service_model,
-          std::max<std::size_t>(1, config_.predictor.max_queue_depth))) {
+      path_catalog_(topo) {
+  // The predictor reads fresh_convolution at depths up to max_queue_depth;
+  // building them here, serially, leaves every later read a plain read.
+  service_model_->fresh_convolution(config_.predictor.max_queue_depth);
   if (config_.runtime.threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.runtime.threads);
   }
@@ -139,7 +147,7 @@ JointOptimizer::Assembly JointOptimizer::assemble_flows(
 
 void JointOptimizer::consolidate_into(JointPlan& plan,
                                       const Assembly& assembly, double k,
-                                      const PlanConstraints* constraints,
+                                      const PlanConstraints& constraints,
                                       const WarmStartHint* warm,
                                       bool reference_enumeration) const {
   plan.k = k;
@@ -157,13 +165,11 @@ void JointOptimizer::consolidate_into(JointPlan& plan,
   } else if (consolidation.path_catalog == nullptr) {
     consolidation.path_catalog = &path_catalog_;
   }
-  if (constraints) {
-    if (!constraints->allowed_switches.empty()) {
-      consolidation.allowed_switches = constraints->allowed_switches;
-    }
-    if (!constraints->blocked_links.empty()) {
-      consolidation.blocked_links = constraints->blocked_links;
-    }
+  if (!constraints.allowed_switches.empty()) {
+    consolidation.allowed_switches = constraints.allowed_switches;
+  }
+  if (!constraints.blocked_links.empty()) {
+    consolidation.blocked_links = constraints.blocked_links;
   }
   plan.placement =
       warm != nullptr
@@ -216,10 +222,10 @@ void JointOptimizer::finalize_plan(JointPlan& plan, double utilization,
   {
     const obs::ScopedSpan predict_span(obs::tracer(), "server_power_predict",
                                        "planner", "k", plan.k);
-    const ServerPowerPredictor predictor(
-        service_model_, power_model_, config_.predictor,
-        reference_dvfs ? nullptr : vp_table_.get());
-    plan.server = predictor.predict(utilization, plan.effective_server_budget);
+    const ServerPowerPredictor predictor(service_model_, power_model_,
+                                         config_.predictor);
+    plan.server = predictor.predict(utilization, plan.effective_server_budget,
+                                    reference_dvfs);
   }
   plan.feasible = placement_ok && !plan.server.budget_infeasible;
   finalize_power_totals(plan);
@@ -272,40 +278,63 @@ void JointOptimizer::explain_header(obs::PlanExplainRecord& explain,
   explain.candidates.clear();
 }
 
-JointPlan JointOptimizer::plan_impl(const Assembly& assembly,
-                                    double utilization, double k,
-                                    ThreadPool* slack_pool, bool serial_slack,
-                                    const PlanConstraints* constraints,
-                                    const WarmStartHint* warm,
-                                    const ReferenceKnobs& knobs) const {
-  const obs::ScopedSpan span(obs::tracer(), "plan_k", "planner", "k", k);
+std::vector<JointPlan> JointOptimizer::evaluate(
+    const Assembly& assembly, const PlanRequest& request,
+    const std::vector<double>& ks, const WarmStartHint* warm) const {
   PlannerMetrics& pm = PlannerMetrics::get();
-  pm.candidates.add();
+  std::vector<JointPlan> plans(ks.size());
+  // Candidate i's prepare item consolidates at its K and builds the
+  // placement's offered load; the slack units follow it on the same pool,
+  // so the candidates' consolidations overlap each other and the sampling
+  // of earlier candidates. Identical routings (flow_paths) see identical
+  // offered load, and the estimate is a pure function of (routing, load,
+  // seed) — so a candidate that routes like an earlier one shares that
+  // one's estimate. At moderate load every K often consolidates to the
+  // same routing, collapsing the sweep's Monte-Carlo cost to one estimate.
+  // Leaders are decided in candidate order, so the plans and counters
+  // match the serial order.
+  std::vector<std::optional<LinkUtilization>> loads(ks.size());
+  const SlackEstimator estimator(config_.slack);
+  const std::vector<SlackEstimate> estimates = estimator.estimate_many(
+      ks.size(),
+      [&](std::size_t i) {
+        const obs::ScopedSpan k_span(obs::tracer(), "plan_k", "planner", "k",
+                                     ks[i]);
+        pm.candidates.add();
+        JointPlan& plan = plans[i];
+        consolidate_into(plan, assembly, ks[i], request.constraints, warm,
+                         request.use_reference_enumeration);
+        loads[i].emplace(offered_load_for(plan, request.utilization));
+        SlackEstimator::Query query;
+        query.placement = &plan.placement;
+        query.offered_load = &*loads[i];
+        query.request_flows = &plan.request_flow;
+        query.reply_flows = &plan.reply_flow;
+        return query;
+      },
+      [&](std::size_t leader, std::size_t i) {
+        return plans[leader].placement.flow_paths ==
+               plans[i].placement.flow_paths;
+      },
+      pool_.get(), request.use_reference_slack);
 
-  JointPlan plan;
-  consolidate_into(plan, assembly, k, constraints, warm, knobs.enumeration);
-
-  const LinkUtilization load = offered_load_for(plan, utilization);
-  SlackEstimatorConfig slack_config = config_.slack;
-  if (serial_slack) slack_config.runtime.threads = 1;
-  const SlackEstimator estimator(slack_config);
-  SlackEstimator::Query query;
-  query.placement = &plan.placement;
-  query.offered_load = &load;
-  query.request_flows = &plan.request_flow;
-  query.reply_flows = &plan.reply_flow;
-  plan.slack = estimator.estimate(query, slack_pool, knobs.slack);
-
-  finalize_plan(plan, utilization, knobs.dvfs);
-  return plan;
+  // Budget split, prediction and classification per candidate, serially
+  // in candidate order (telemetry order matches the K order).
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    plans[i].slack = estimates[i];
+    finalize_plan(plans[i], request.utilization, request.use_reference_dvfs);
+  }
+  return plans;
 }
 
 JointPlan JointOptimizer::plan_for_k(const FlowSet& background,
                                      double utilization, double k) const {
-  const Assembly assembly = assemble_flows(background);
-  return plan_impl(assembly, utilization, k, pool_.get(),
-                   /*serial_slack=*/false, /*constraints=*/nullptr,
-                   /*warm=*/nullptr, ReferenceKnobs{});
+  PlanRequest request;
+  request.background = &background;
+  request.utilization = utilization;
+  return std::move(
+      evaluate(assemble_flows(background), request, {k}, /*warm=*/nullptr)
+          .front());
 }
 
 JointPlan JointOptimizer::optimize(const PlanRequest& request) const {
@@ -319,8 +348,7 @@ JointPlan JointOptimizer::optimize(const PlanRequest& request) const {
   }
 
   PlannerMetrics& pm = PlannerMetrics::get();
-  const PlanConstraints& constraints = request.constraints;
-  const double k_floor = std::max(config_.k_min, constraints.k_min);
+  const double k_floor = std::max(config_.k_min, request.constraints.k_min);
   const JointPlan* previous = request.previous;
   const bool warm_eligible =
       previous != nullptr && previous->feasible &&
@@ -328,20 +356,12 @@ JointPlan JointOptimizer::optimize(const PlanRequest& request) const {
   if (warm_eligible) {
     const obs::ScopedSpan span(obs::tracer(), "k_search_warm", "planner",
                                "utilization", request.utilization);
-    const bool constrained = !constraints.allowed_switches.empty() ||
-                             !constraints.blocked_links.empty() ||
-                             constraints.k_min > 0.0;
-    const ReferenceKnobs knobs{request.use_reference_slack,
-                               request.use_reference_dvfs,
-                               request.use_reference_enumeration};
     WarmStartHint hint;
     hint.previous_flows = &previous->flows;
     hint.previous = &previous->placement;
     hint.max_extra_switches = config_.incremental.max_extra_switches;
-    JointPlan plan = plan_impl(assembly, request.utilization, previous->k,
-                               pool_.get(), /*serial_slack=*/false,
-                               constrained ? &constraints : nullptr, &hint,
-                               knobs);
+    JointPlan plan =
+        std::move(evaluate(assembly, request, {previous->k}, &hint).front());
     if (plan.feasible) {
       pm.searches.add();
       pm.warm_accepts.add();
@@ -374,80 +394,23 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
   PlannerMetrics& pm = PlannerMetrics::get();
   pm.searches.add();
 
-  const PlanConstraints& constraints = request.constraints;
-  const bool constrained = !constraints.allowed_switches.empty() ||
-                           !constraints.blocked_links.empty() ||
-                           constraints.k_min > 0.0;
-  const double k_floor = std::max(config_.k_min, constraints.k_min);
+  const double k_floor = std::max(config_.k_min, request.constraints.k_min);
   std::vector<double> candidates;
   for (double k = k_floor; k <= config_.k_max + 1e-9; k += config_.k_step) {
     candidates.push_back(k);
   }
   if (candidates.empty()) candidates.push_back(config_.k_max);
 
-  std::vector<JointPlan> plans(candidates.size());
-  const ReferenceKnobs knobs{request.use_reference_slack,
-                             request.use_reference_dvfs,
-                             request.use_reference_enumeration};
-  const bool parallel_candidates =
-      pool_ != nullptr && pool_->num_threads() > 1 && candidates.size() > 1;
-
+  std::vector<JointPlan> plans;
   if (request.use_reference_slack) {
-    // Reference sweep shape: every candidate runs the whole per-candidate
-    // pipeline (concurrently when a pool exists). While the candidates
-    // occupy the pool the slack estimator runs its shards serially within
-    // each candidate — shard count, not worker placement, determines the
-    // estimates, so this only shapes the schedule.
-    parallel_for(pool_.get(), candidates.size(), [&](std::size_t i) {
-      plans[i] = plan_impl(assembly, request.utilization, candidates[i],
-                           parallel_candidates ? nullptr : pool_.get(),
-                           /*serial_slack=*/parallel_candidates,
-                           constrained ? &constraints : nullptr,
-                           /*warm=*/nullptr, knobs);
-    });
-  } else {
-    // Fast sweep: one pool pass. Candidate i's prepare item consolidates at
-    // its K and builds the placement's offered load; the slack units follow
-    // it on the same pool, so the candidates' consolidations overlap each
-    // other and the sampling of earlier candidates. Identical routings
-    // (flow_paths) see identical offered load, and the estimate is a pure
-    // function of (routing, load, seed) — so a candidate that routes like
-    // an earlier one shares that one's estimate. At moderate load every K
-    // often consolidates to the same routing, collapsing the sweep's
-    // Monte-Carlo cost to one estimate. Leaders are decided in candidate
-    // order, so the plans and counters match the serial order.
-    std::vector<std::optional<LinkUtilization>> loads(candidates.size());
-    const SlackEstimator estimator(config_.slack);
-    const std::vector<SlackEstimate> estimates = estimator.estimate_many(
-        candidates.size(),
-        [&](std::size_t i) {
-          const obs::ScopedSpan k_span(obs::tracer(), "plan_k", "planner",
-                                       "k", candidates[i]);
-          pm.candidates.add();
-          JointPlan& plan = plans[i];
-          consolidate_into(plan, assembly, candidates[i],
-                           constrained ? &constraints : nullptr,
-                           /*warm=*/nullptr, knobs.enumeration);
-          loads[i].emplace(offered_load_for(plan, request.utilization));
-          SlackEstimator::Query query;
-          query.placement = &plan.placement;
-          query.offered_load = &*loads[i];
-          query.request_flows = &plan.request_flow;
-          query.reply_flows = &plan.reply_flow;
-          return query;
-        },
-        [&](std::size_t leader, std::size_t i) {
-          return plans[leader].placement.flow_paths ==
-                 plans[i].placement.flow_paths;
-        },
-        pool_.get());
-
-    // Budget split, prediction and classification per candidate, serially
-    // in candidate order (telemetry order matches the reference).
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      plans[i].slack = estimates[i];
-      finalize_plan(plans[i], request.utilization, knobs.dvfs);
+    // The reference sweep: one one-candidate pass per K, in K order, so no
+    // candidate shares an estimate or a multi-candidate schedule.
+    for (const double k : candidates) {
+      plans.push_back(
+          std::move(evaluate(assembly, request, {k}, /*warm=*/nullptr).front()));
     }
+  } else {
+    plans = evaluate(assembly, request, candidates, /*warm=*/nullptr);
   }
 
   // The candidate-K table must be captured before the reduction below

@@ -9,20 +9,25 @@
 // "deliberately turn on more switches to let servers slow down" emerges:
 // a larger K costs switches but buys server slack.
 //
-// The K search is the planner's hot path (every bench/diurnal epoch pays
-// it), so it is engineered twice over:
-//   * with `runtime.threads > 1` all candidates are evaluated concurrently
-//     on an internal ThreadPool — the cold sweep in one pass whose
-//     consolidations run ahead of, and overlap, the slack sampling;
-//   * the cold sweep's three traced hot spots each have a fast
-//     implementation — batched prepared-path Monte-Carlo with per-shard
-//     scratch, a vectorized hop-major combine and a parallel merge
-//     (SlackEstimator), per-frequency CCDF lookup tables built once at
-//     construction (dvfs/vp_table.h), and memoized per-pair path
-//     enumeration shared across the K candidates (topo/path_catalog.h)
-//     feeding a greedy packer that stops scanning at the first path that
-//     lights no new switch — plus placement deduplication: K candidates
-//     that consolidate to the same routing share one slack estimate.
+// Every plan evaluation — the cold sweep, plan_for_k, the warm single-K
+// re-evaluation and the reference sweep — runs one per-candidate
+// sequence, as section IV-A describes it: a prepare item consolidates at K
+// and builds the placement's offered load, one SlackEstimator pass samples
+// the network slack, and a serial finalize predicts server power from the
+// section III-C equivalent-request convolutions. The K search is the
+// planner's hot path (every bench/diurnal epoch pays it), so:
+//   * with `runtime.threads > 1` the pass runs on an internal ThreadPool —
+//     the cold sweep's consolidations run ahead of, and overlap, the slack
+//     sampling;
+//   * the traced hot spots each have a fast implementation — batched
+//     prepared-path Monte-Carlo with per-shard scratch, a vectorized
+//     hop-major combine and a parallel merge (SlackEstimator), the
+//     equivalent-request chain convolved once at construction and read by
+//     grid index, and memoized per-pair path enumeration shared across the
+//     K candidates (topo/path_catalog.h) feeding a greedy packer that stops
+//     scanning at the first path that lights no new switch — plus placement
+//     deduplication: K candidates that consolidate to the same routing
+//     share one slack estimate.
 // Every fast path reproduces the reference arithmetic and RNG stream bit
 // for bit, so the chosen plan is byte-identical for any thread count and
 // any PlanRequest knob combination (asserted by tests/fastpath_test.cpp).
@@ -36,7 +41,6 @@
 #include "core/server_power_predictor.h"
 #include "core/slack_estimator.h"
 #include "dvfs/service_model.h"
-#include "dvfs/vp_table.h"
 #include "power/server_power.h"
 #include "topo/path_catalog.h"
 #include "topo/topology.h"
@@ -73,8 +77,9 @@ struct JointOptimizerConfig {
   SlackEstimatorConfig slack;
   ServerPowerPredictorConfig predictor;
 
-  /// Worker threads for the K search (and, for serial searches, the slack
-  /// estimator's shards). Results are independent of this value.
+  /// Worker threads for plan evaluation: the candidates' consolidations
+  /// and the slack estimator's shards. Results are independent of this
+  /// value.
   RuntimeConfig runtime;
 
   IncrementalPlanningConfig incremental;
@@ -159,11 +164,11 @@ struct PlanRequest {
   /// disabled — runs the cold K sweep. Not owned.
   const JointPlan* previous = nullptr;
   /// Per-sample Monte-Carlo path walks instead of the batched
-  /// prepared-path, hop-major sampler, and a per-candidate slack estimate
-  /// instead of the sweep's placement-deduplicated batch.
+  /// prepared-path, hop-major sampler, and a cold sweep of one-candidate
+  /// passes in K order instead of one placement-deduplicated pass.
   bool use_reference_slack = false;
-  /// Per-decision equivalent-work convolution lookups instead of the
-  /// precomputed per-frequency CCDF tables.
+  /// Frequency-valued violation probabilities in the predictor's scan
+  /// instead of the per-grid-index lookup.
   bool use_reference_dvfs = false;
   /// Per-call Topology::all_paths() enumeration instead of the memoized
   /// PathCatalog.
@@ -181,11 +186,12 @@ class JointOptimizer {
   /// `consolidator` selects the placement strategy (greedy bin-packing by
   /// default; inject a MilpConsolidator for exact placement). The pointee
   /// must outlive the optimizer and be thread-safe (see Consolidator).
-  /// Construction eagerly builds the DVFS CCDF tables (one FFT batch per
-  /// queue depth up to predictor.max_queue_depth). Throws
-  /// std::invalid_argument unless k_step is a positive finite number,
-  /// k_min <= k_max are finite, slack.shards >= 1 and
-  /// slack.samples_per_pair >= 0.
+  /// Construction pre-warms the service model's fresh convolution chain
+  /// (and the work spectra it uses) to predictor.max_queue_depth, so every
+  /// prediction reads it without growing it. Throws std::invalid_argument
+  /// unless k_step is a positive finite number, k_min <= k_max are finite,
+  /// slack.shards >= 1, slack.samples_per_pair >= 0,
+  /// predictor.max_queue_depth >= 1 and predictor.target_vp >= 0.
   JointOptimizer(const Topology* topo, const ServiceModel* service_model,
                  const ServerPowerModel* power_model,
                  JointOptimizerConfig config = {},
@@ -220,19 +226,26 @@ class JointOptimizer {
   /// Background + query flows assembled once per optimize() call and
   /// shared (read-only) by every K candidate.
   struct Assembly;
-  /// The PlanRequest escape hatches, threaded through the pipeline.
-  struct ReferenceKnobs {
-    bool slack = false;
-    bool dvfs = false;
-    bool enumeration = false;
-  };
 
   Assembly assemble_flows(const FlowSet& background) const;
 
+  /// The one per-candidate pipeline behind every caller, at the request's
+  /// utilization, constraints and use_reference_* knobs (its K floor,
+  /// previous plan and explain record are the callers'). Candidate i's
+  /// prepare item consolidates at ks[i] and builds the placement's offered
+  /// load; one SlackEstimator::estimate_many pass on the optimizer's pool
+  /// samples the slack, a candidate that routes like an earlier one
+  /// sharing that one's estimate; then the candidates are finalized
+  /// serially, in K order, on the calling thread. `warm` may be null.
+  std::vector<JointPlan> evaluate(const Assembly& assembly,
+                                  const PlanRequest& request,
+                                  const std::vector<double>& ks,
+                                  const WarmStartHint* warm) const;
+
   /// Consolidates one candidate into `plan` (k, flows, placement,
-  /// network_power). `constraints`/`warm` may be null.
+  /// network_power). `warm` may be null.
   void consolidate_into(JointPlan& plan, const Assembly& assembly, double k,
-                        const PlanConstraints* constraints,
+                        const PlanConstraints& constraints,
                         const WarmStartHint* warm,
                         bool reference_enumeration) const;
 
@@ -257,22 +270,8 @@ class JointOptimizer {
   void explain_header(obs::PlanExplainRecord& explain, const char* path,
                       const JointPlan& chosen) const;
 
-  /// Full per-candidate pipeline (consolidate + slack + finalize) for one
-  /// K. `slack_pool` parallelizes the slack estimator's shards;
-  /// `serial_slack` forces shard-serial estimation (used when the K
-  /// candidates themselves already occupy the pool). Neither affects the
-  /// returned plan, only how fast it is computed.
-  JointPlan plan_impl(const Assembly& assembly, double utilization, double k,
-                      ThreadPool* slack_pool, bool serial_slack,
-                      const PlanConstraints* constraints,
-                      const WarmStartHint* warm,
-                      const ReferenceKnobs& knobs) const;
-
-  /// The cold full K sweep. The fast shape consolidates the candidates and
-  /// samples slack once per unique placement in one pool pass
-  /// (SlackEstimator::estimate_many with a prepare step), then finalizes
-  /// per candidate; with use_reference_slack the retained per-candidate
-  /// pipeline runs instead.
+  /// The cold full K sweep: one evaluate() pass over every candidate, or,
+  /// with use_reference_slack, one one-candidate pass per K in K order.
   JointPlan cold_search(const Assembly& assembly,
                         const PlanRequest& request) const;
 
@@ -286,11 +285,6 @@ class JointOptimizer {
   /// Memoized per-pair path enumeration shared by every consolidate call
   /// (thread-safe; entries fill on first use).
   PathCatalog path_catalog_;
-  /// Per-frequency CCDF tables for the predictor's frequency scan, built
-  /// eagerly at construction — which also pre-warms the service model's
-  /// convolution cache so the reference predictor path is read-only under
-  /// the parallel sweep.
-  std::unique_ptr<VpTable> vp_table_;
 };
 
 }  // namespace eprons

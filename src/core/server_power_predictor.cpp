@@ -24,15 +24,14 @@ ServerPowerPrediction peak_power_prediction(const ServerPowerModel& model,
 
 ServerPowerPredictor::ServerPowerPredictor(const ServiceModel* service_model,
                                            const ServerPowerModel* power_model,
-                                           ServerPowerPredictorConfig config,
-                                           const VpTable* vp_table)
+                                           ServerPowerPredictorConfig config)
     : service_model_(service_model),
       power_model_(power_model),
-      config_(config),
-      vp_table_(vp_table) {}
+      config_(config) {}
 
 ServerPowerPrediction ServerPowerPredictor::predict(double utilization,
-                                                    SimTime budget) const {
+                                                    SimTime budget,
+                                                    bool reference_dvfs) const {
   ServerPowerPrediction out;
   utilization = std::clamp(utilization, 0.0, 0.99);
 
@@ -47,37 +46,27 @@ ServerPowerPrediction ServerPowerPredictor::predict(double utilization,
 
   // Frequency a statistical policy would pick: the equivalent request (the
   // arrival plus everything estimated ahead of it) must meet the budget at
-  // the target violation probability. The grid scan stays linear in both
-  // branches — the first qualifying frequency must win identically.
+  // the target violation probability. The scan records the violation
+  // probability achieved at the first qualifying frequency;
+  // violation_probability_at's contract makes it the reference's bits.
   const auto& grid = service_model_->frequency_grid();
+  const DiscreteDistribution& equivalent =
+      service_model_->fresh_convolution(depth);
   Freq chosen = grid.back();
   bool found = false;
   double achieved_vp = 1.0;
-  // Both branches record the violation probability actually achieved at
-  // the chosen frequency; the VpTable's bit-exactness contract (see
-  // dvfs/vp_table.h) makes the value identical either way.
-  if (vp_table_ != nullptr && depth <= vp_table_->max_depth()) {
-    for (std::size_t fi = 0; fi < grid.size(); ++fi) {
-      const double vp = vp_table_->violation_probability(depth, budget, fi);
-      if (vp <= config_.target_vp) {
-        chosen = grid[fi];
-        found = true;
-        achieved_vp = vp;
-        break;
-      }
-    }
-  } else {
-    const DiscreteDistribution& equivalent =
-        service_model_->fresh_convolution(depth);
-    for (Freq f : grid) {
-      const double vp = service_model_->violation_probability(
-          equivalent, 0.0, budget, f);
-      if (vp <= config_.target_vp) {
-        chosen = f;
-        found = true;
-        achieved_vp = vp;
-        break;
-      }
+  for (std::size_t fi = 0; fi < grid.size(); ++fi) {
+    const double vp =
+        reference_dvfs
+            ? service_model_->violation_probability(equivalent, 0.0, budget,
+                                                    grid[fi])
+            : service_model_->violation_probability_at(equivalent, 0.0,
+                                                       budget, fi);
+    if (vp <= config_.target_vp) {
+      chosen = grid[fi];
+      found = true;
+      achieved_vp = vp;
+      break;
     }
   }
   out.budget_infeasible = !found;

@@ -18,7 +18,6 @@
 #pragma once
 
 #include "dvfs/service_model.h"
-#include "dvfs/vp_table.h"
 #include "power/server_power.h"
 
 namespace eprons {
@@ -69,27 +68,28 @@ struct ServerPowerPredictorConfig {
 /// request?" without simulating (section IV-A's parameterized model).
 class ServerPowerPredictor {
  public:
-  /// All pointees must outlive the predictor (not owned). `vp_table` (may
-  /// be null) short-circuits the frequency scan through precomputed
-  /// per-frequency CCDF tables (dvfs/vp_table.h); it must be built over
-  /// `service_model`. With a table covering the estimated queue depth the
-  /// scan does no convolution work at all; without one (or beyond its
-  /// depth) the reference per-decision convolution lookup runs instead.
-  /// Both paths pick the same frequency bit for bit.
+  /// All pointees must outlive the predictor (not owned).
+  /// config.max_queue_depth must be >= 1.
   ServerPowerPredictor(const ServiceModel* service_model,
                        const ServerPowerModel* power_model,
-                       ServerPowerPredictorConfig config = {},
-                       const VpTable* vp_table = nullptr);
+                       ServerPowerPredictorConfig config = {});
 
   /// Predicts power for one server at `utilization` (at f_max) with
-  /// per-request server time budget `budget` us.
-  ServerPowerPrediction predict(double utilization, SimTime budget) const;
+  /// per-request server time budget `budget` us. The frequency scan reads
+  /// the model's fresh_convolution(depth) — section III-C's cached
+  /// equivalent request, grown on first use — and evaluates each grid
+  /// frequency by index (ServiceModel::violation_probability_at), or, with
+  /// `reference_dvfs`, through the frequency-valued
+  /// ServiceModel::violation_probability; both pick the same frequency bit
+  /// for bit. Reading a convolution the cache already holds is safe from
+  /// several threads; growing it is not (see fresh_convolution).
+  ServerPowerPrediction predict(double utilization, SimTime budget,
+                                bool reference_dvfs = false) const;
 
  private:
   const ServiceModel* service_model_;
   const ServerPowerModel* power_model_;
   ServerPowerPredictorConfig config_;
-  const VpTable* vp_table_;
 };
 
 }  // namespace eprons

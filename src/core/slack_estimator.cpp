@@ -52,19 +52,12 @@ SlackEstimate SlackEstimator::estimate(const Query& query, ThreadPool* pool,
 std::vector<SlackEstimate> SlackEstimator::estimate_many(
     const std::vector<Query>& queries, ThreadPool* pool,
     bool reference_sampling) const {
-  return run(
+  return estimate_many(
       queries.size(), [&](std::size_t i) { return queries[i]; }, {}, pool,
       reference_sampling);
 }
 
 std::vector<SlackEstimate> SlackEstimator::estimate_many(
-    std::size_t count, const std::function<Query(std::size_t)>& prepare,
-    const std::function<bool(std::size_t, std::size_t)>& same,
-    ThreadPool* pool) const {
-  return run(count, prepare, same, pool, /*reference_sampling=*/false);
-}
-
-std::vector<SlackEstimate> SlackEstimator::run(
     std::size_t count, const std::function<Query(std::size_t)>& prepare,
     const std::function<bool(std::size_t, std::size_t)>& same,
     ThreadPool* pool, bool reference_sampling) const {
@@ -87,12 +80,6 @@ std::vector<SlackEstimate> SlackEstimator::run(
   shard_rng.reserve(shards);
   Rng base(config_.seed);
   for (std::size_t s = 0; s < shards; ++s) shard_rng.push_back(base.split());
-
-  std::unique_ptr<ThreadPool> local_pool;
-  if (!pool && config_.runtime.threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(config_.runtime.threads);
-    pool = local_pool.get();
-  }
 
   // Per query: its routed (request, reply) pairs in flow order — shard s
   // owns every `shards`-th pair starting at s, so the pair->shard mapping

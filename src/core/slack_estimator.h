@@ -29,8 +29,8 @@
 // the vectorized stats/fast_log block, and combines hop by hop across the
 // block's iterations with the vectorized LinkLatencyModel::combine_hop_block
 // — each sample still sums its hops in path order. The reference sampler
-// is the per-sample oracle: it re-derives the constants — two
-// directed-utilization lookups per hop — on every iteration, takes scalar
+// is the per-sample oracle: it re-derives the constants — a
+// directed-utilization lookup per hop — on every iteration, takes scalar
 // logs and draws each hop's burst/collision uniforms as it combines it
 // through combine_hop_pair, the one-wide case of the same kernel. Both
 // produce the same bits (SIMD lanes run the identical IEEE op sequence);
@@ -43,7 +43,7 @@
 // select_ranks) that returns the same values a full sort would, so the
 // merge is parallel and exact.
 //
-// The K sweep's entry also builds its queries in the sampling pass: one
+// The planner's entry also builds its queries in the sampling pass: one
 // prepare item per query runs ahead of the (query, shard) units on the
 // same pool, and a unit waits only for the queries up to its own. Queries
 // equal to an earlier one share its estimate; who leads is decided in
@@ -78,7 +78,6 @@ struct SlackEstimatorConfig {
   int shards = 8;
   LinkLatencyModel link_model;
   std::uint64_t seed = 99;
-  RuntimeConfig runtime;
 };
 
 /// The Monte-Carlo estimator behind one seam: single-shot and batch
@@ -106,10 +105,9 @@ class SlackEstimator {
   };
 
   /// Estimates one placement (routes through estimate_many, so single-shot
-  /// callers exercise the same code path as the batch). When `pool` is
-  /// non-null the shards run on it; otherwise a pool is created for the
-  /// call when config.runtime.threads > 1, else the shards run serially.
-  /// All modes — and both samplers — return bit-identical estimates.
+  /// callers exercise the same code path as the batch). The shards run on
+  /// `pool`, or serially when it is null; all modes — and both samplers —
+  /// return bit-identical estimates.
   SlackEstimate estimate(const Query& query, ThreadPool* pool = nullptr,
                          bool reference_sampling = false) const;
 
@@ -124,29 +122,23 @@ class SlackEstimator {
                                            bool reference_sampling =
                                                false) const;
 
-  /// Builds query i with prepare(i) and estimates it, in one pool pass:
-  /// the `count` prepare items come ahead of every (query, shard) unit,
-  /// and a unit of query q waits until queries 0..q are built. Query q
-  /// shares the estimate of the first earlier leader j with same(j, q);
-  /// otherwise q leads. Only leaders are sampled and counted. What
-  /// prepare(i) returns must stay valid until the call returns, and
-  /// prepare may run on any worker, concurrently with other prepare items
-  /// and units. When a prepare item throws, units of its query and later
-  /// ones return at once and the call rethrows. Result i is bit-identical
-  /// to estimate() of query i.
+  /// The one sampling pass behind every entry. Builds query i with
+  /// prepare(i) and estimates it: the `count` prepare items come ahead of
+  /// every (query, shard) unit, and a unit of query q waits until queries
+  /// 0..q are built. Query q shares the estimate of the first earlier
+  /// leader j with same(j, q); otherwise (and always when `same` is empty)
+  /// q leads. Only leaders are sampled and counted. What prepare(i)
+  /// returns must stay valid until the call returns, and prepare may run
+  /// on any worker, concurrently with other prepare items and units. When
+  /// a prepare item throws, units of its query and later ones return at
+  /// once and the call rethrows. Result i is bit-identical to estimate()
+  /// of query i.
   std::vector<SlackEstimate> estimate_many(
       std::size_t count, const std::function<Query(std::size_t)>& prepare,
       const std::function<bool(std::size_t, std::size_t)>& same,
-      ThreadPool* pool = nullptr) const;
+      ThreadPool* pool = nullptr, bool reference_sampling = false) const;
 
  private:
-  /// The one sampling pass behind every entry; an empty `same` makes
-  /// every query its own leader.
-  std::vector<SlackEstimate> run(
-      std::size_t count, const std::function<Query(std::size_t)>& prepare,
-      const std::function<bool(std::size_t, std::size_t)>& same,
-      ThreadPool* pool, bool reference_sampling) const;
-
   SlackEstimatorConfig config_;
 };
 

@@ -21,11 +21,11 @@
 // ServiceModel::convolve_work per link) for tests and benches, and the
 // cached VPs equal model.violation_probability_at(at(i), ...) bit for bit.
 //
-// The planner never builds one of these: its per-K DVFS decisions go
-// through the precomputed per-frequency CCDF tables in dvfs/vp_table.h
-// (fresh-case equivalents only — a planning-time prediction sees no
-// partially-served request). The DES policies keep using this class; its
-// fresh case reads the same ServiceModel cache the VpTable pre-warms.
+// The planner never builds one of these: its per-K DVFS decisions read
+// ServiceModel::fresh_convolution directly (fresh-case equivalents only —
+// a planning-time prediction sees no partially-served request). The DES
+// policies keep using this class; its fresh case reads the same cache,
+// which a JointOptimizer pre-warms to its predictor's queue-depth cap.
 #pragma once
 
 #include <array>

@@ -104,10 +104,12 @@ class ServiceModel {
 
   /// Work distribution of `count` fresh queued requests back to back
   /// (count >= 1). Cached; growing the cache is thread-unsafe by design
-  /// (one model per core policy in the DES). Shared read-side callers —
-  /// the parallel planner — must pre-warm the cache to their deepest depth
-  /// first; constructing a VpTable (dvfs/vp_table.h) over the model does
-  /// exactly that, after which calls at warmed depths are read-only.
+  /// (one model per core policy in the DES), and it may move the cached
+  /// distributions, so a returned reference is valid until the next call
+  /// at a deeper count. Calls at counts the cache already holds are plain
+  /// reads: a caller that shares the model across threads builds its
+  /// deepest count first — constructing a JointOptimizer does so for
+  /// predictor.max_queue_depth.
   const DiscreteDistribution& fresh_convolution(std::size_t count) const;
 
   /// `d` convolved with the work PDF, truncated at truncate_eps: one link
@@ -142,8 +144,8 @@ class ServiceModel {
   /// Forward spectrum of the work PDF zero-padded to `n` (a power of
   /// two), built on first use. Same contract as fresh_convolution:
   /// building a size is thread-unsafe, reading a built one is not — and
-  /// constructing a VpTable builds every size the fresh chain up to its
-  /// depth uses. References stay valid for the model's lifetime.
+  /// building the fresh chain to a depth builds every size it uses.
+  /// References stay valid for the model's lifetime.
   const Spectrum& work_spectrum(std::size_t n) const;
 
   /// Entry fi is the smallest deadline margin dt = deadline - now at which

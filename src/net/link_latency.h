@@ -14,17 +14,16 @@
 // exponential), truncated at the buffer cap — giving realistic tails for
 // the 95th/99th percentile figures.
 //
-// The per-hop sampling arithmetic has one definition,
+// The per-hop antithetic arithmetic has one definition,
 // LinkLatencyModel::combine_hop_block: a branch-free lane loop that the
-// slack estimator runs hop by hop over a block of pre-drawn uniforms
-// (vectorized there), and that the per-sample samplers run one lane wide
-// through combine_hop_pair.
+// slack estimator's fast sampler runs hop by hop over a block of pre-drawn
+// uniforms (vectorized there), and that its per-sample reference sampler
+// runs one lane wide through combine_hop_pair.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 
-#include "stats/fast_log.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -122,42 +121,26 @@ class LinkLatencyModel {
     return latency;
   }
 
-  /// Draws one ANTITHETIC PAIR of per-hop latencies — the step of the
-  /// per-sample pair samplers (the slack estimator's fast path runs the
-  /// same arithmetic a block at a time; see combine_hop_block). Classic
-  /// Monte-Carlo variance
-  /// reduction: each raw uniform u drives two samples, one through u and
-  /// one through 1-u, so a draw pair costs one RNG advance + two log
-  /// evaluations instead of two of each; the negative correlation between
-  /// partners tightens the mean estimate for free. Burst draws use the
-  /// composition trick — conditional on u < p, u/p is itself an exact
-  /// U(0,1), so the burst position rides on the branch uniform instead of
-  /// consuming another draw. Every sample's marginal distribution is
-  /// exactly the per-draw model's (base + min(Exp + burst, cap) +
-  /// collision residual); only the pairing is correlated.
+  /// One ANTITHETIC PAIR of per-hop latencies from the exponential logs
+  /// (log u, log(1-u)) of one raw uniform u, drawing the hop's burst and
+  /// collision uniforms from `rng` in the fixed order (burst, collision) —
+  /// the step of the slack estimator's per-sample reference sampler.
+  /// Classic Monte-Carlo variance reduction: each raw uniform u drives two
+  /// samples, one through u and one through 1-u, so a draw pair costs one
+  /// RNG advance + two log evaluations instead of two of each; the
+  /// negative correlation between partners tightens the mean estimate for
+  /// free. Burst draws use the composition trick — conditional on u < p,
+  /// u/p is itself an exact U(0,1), so the burst position rides on the
+  /// branch uniform instead of consuming another draw. Every sample's
+  /// marginal distribution is exactly the per-draw model's (base +
+  /// min(Exp + burst, cap) + collision residual); only the pairing is
+  /// correlated.
   ///
-  /// Bit-exactness contract: the path-level pair samplers (per-sample
-  /// re-derivation and prepared hops) both funnel into this one function,
-  /// and through combine_hop_pair into the block kernel, so they agree bit
-  /// for bit by construction. fast_log (not std::log) keeps the
-  /// transform's bits owned by this repo, not the host libm.
-  void sample_hop_pair(const PreparedHop& hop, Rng& rng, SimTime* even,
-                       SimTime* odd) const {
-    double u = rng.uniform();
-    while (u == 0.0) u = rng.uniform();
-    // u in (0,1) and 1-u in (0,1]; fast_log(1) == 0 is a valid Exp draw.
-    double log_e;
-    double log_o;
-    fast_log_pair(u, 1.0 - u, &log_e, &log_o);
-    combine_hop_pair(hop, log_e, log_o, rng, even, odd);
-  }
-
-  /// The pair core AFTER the exponential logs: turns (log u, log(1-u))
-  /// into the antithetic latency pair, drawing the hop's burst and
-  /// collision uniforms from `rng` in the fixed order (burst, collision).
-  /// It is the one-wide case of combine_hop_block, so the per-sample
-  /// samplers and the slack estimator's block sampler share one
-  /// definition of the per-hop arithmetic and agree bit for bit.
+  /// Bit-exactness contract: this is the one-wide case of
+  /// combine_hop_block, so the reference sampler and the estimator's block
+  /// sampler share one definition of the per-hop arithmetic and agree bit
+  /// for bit. fast_log (not std::log) keeps the transform's bits owned by
+  /// this repo, not the host libm.
   void combine_hop_pair(const PreparedHop& hop, double log_e, double log_o,
                         Rng& rng, SimTime* even, SimTime* odd) const {
     const double burst_u = hop.p_burst > 0.0 ? rng.uniform() : 0.0;

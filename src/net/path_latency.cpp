@@ -38,24 +38,6 @@ void PathLatencyEstimator::prepare(const Path& path,
   }
 }
 
-void PathLatencyEstimator::sample_pair(const Path& path, Rng& rng,
-                                       SimTime* even, SimTime* odd) const {
-  SimTime total_e = 0.0;
-  SimTime total_o = 0.0;
-  SimTime hop_e;
-  SimTime hop_o;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const PreparedHop hop = model_.prepare_hop(
-        utilization_->directed_utilization(path[i], path[i + 1]),
-        utilization_->directed_bursty_utilization(path[i], path[i + 1]));
-    model_.sample_hop_pair(hop, rng, &hop_e, &hop_o);
-    total_e += hop_e;
-    total_o += hop_o;
-  }
-  *even = total_e;
-  *odd = total_o;
-}
-
 SimTime PathLatencyEstimator::max_latency(const Path& path) const {
   if (path.size() < 2) return 0.0;
   return static_cast<double>(path.size() - 1) *

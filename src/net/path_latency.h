@@ -49,33 +49,6 @@ class PathLatencyEstimator {
     return total;
   }
 
-  /// Draws one antithetic PAIR of end-to-end latencies from prepared hops
-  /// (see LinkLatencyModel::sample_hop_pair). Both partners accumulate
-  /// their hops in path order, so the pair's bits depend only on the RNG
-  /// state and the prepared constants — the slack estimator's fast path.
-  void sample_prepared_pair(const std::vector<PreparedHop>& hops, Rng& rng,
-                            SimTime* even, SimTime* odd) const {
-    SimTime total_e = 0.0;
-    SimTime total_o = 0.0;
-    SimTime hop_e;
-    SimTime hop_o;
-    for (const PreparedHop& hop : hops) {
-      model_.sample_hop_pair(hop, rng, &hop_e, &hop_o);
-      total_e += hop_e;
-      total_o += hop_o;
-    }
-    *even = total_e;
-    *odd = total_o;
-  }
-
-  /// Reference twin of sample_prepared_pair: re-derives each hop's
-  /// sampling constants from the live utilization tables on every draw
-  /// pair (the pre-PreparedHop per-sample walk). Funnels into the same
-  /// sample_hop_pair core, so it consumes the RNG identically and returns
-  /// bit-identical pairs — the oracle the differential tests diff against.
-  void sample_pair(const Path& path, Rng& rng, SimTime* even,
-                   SimTime* odd) const;
-
   /// Worst possible latency along `path` (all buffers full).
   SimTime max_latency(const Path& path) const;
 

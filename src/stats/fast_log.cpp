@@ -24,8 +24,8 @@ constexpr double kLg7 = 1.479819860511658591e-01;
 
 namespace {
 
-// The whole algorithm, forced inline so fast_log_pair's two copies live in
-// one function body and the compiler interleaves their dependency chains.
+// The whole algorithm, forced inline so every block loop below vectorizes
+// its own copy.
 [[gnu::always_inline]] inline double log_impl(double x) {
   // x = 2^k * m with m in [sqrt(2)/2, sqrt(2)): shift the biased exponent
   // so the mantissa cut happens at sqrt(2) instead of 2.
@@ -55,11 +55,6 @@ namespace {
 }  // namespace
 
 double fast_log(double x) { return log_impl(x); }
-
-void fast_log_pair(double x, double y, double* lx, double* ly) {
-  *lx = log_impl(x);
-  *ly = log_impl(y);
-}
 
 // The block loops carry target_clones so the runtime dispatcher can pick a
 // 4-wide AVX2 body on hosts that have it while the build itself stays at

@@ -30,20 +30,13 @@ namespace eprons {
 /// Natural log of a positive finite normal double; < 1 ulp error.
 double fast_log(double x);
 
-/// Two independent fast_log evaluations in one call: *lx = fast_log(x),
-/// *ly = fast_log(y), bit-identical to two scalar calls. The pair sampler
-/// feeds it the antithetic uniforms (u, 1-u); evaluating both in one body
-/// lets the two dependency chains interleave in the pipeline, which is
-/// nearly the price of one.
-void fast_log_pair(double x, double y, double* lx, double* ly);
-
 /// Elementwise fast_log over a block: out[i] = fast_log(x[i]). In-place
 /// (out == x) is allowed. The loop body is branchless, so the compiler
 /// vectorizes it even at the baseline x86-64 target (SSE2) — roughly
 /// halving the per-log cost versus the scalar call — and SIMD lanes
 /// execute the identical IEEE operation sequence, so every element is
 /// bit-identical to the scalar fast_log(x[i]) (asserted by the
-/// differential tests). This is the slack estimator's inner log.
+/// differential tests).
 void fast_log_block(const double* x, double* out, std::size_t n);
 
 /// Antithetic variant: lg_e[i] = fast_log(x[i]), lg_o[i] =

@@ -24,8 +24,8 @@
 namespace eprons {
 
 /// Execution-resource knobs threaded through the planner configs
-/// (JointOptimizerConfig, SlackEstimatorConfig, EpochControllerConfig) and
-/// exposed as --threads on every bench/example CLI. threads <= 1 means
+/// (JointOptimizerConfig, EpochControllerConfig, TemporalSchedulerConfig)
+/// and exposed as --threads on every bench/example CLI. threads <= 1 means
 /// fully serial execution with zero pool overhead.
 ///
 /// The telemetry sinks ride along so one RuntimeConfig carries everything a

@@ -190,7 +190,6 @@ TEST(GreedyConsolidator, OverflowReportedWhenImpossible) {
   flows.add(0, 9, 600.0, FlowClass::LatencyTolerant);
   const auto result = greedy.consolidate(flows, fig2_config(1.0));
   EXPECT_FALSE(result.feasible);
-  EXPECT_TRUE(greedy.last_overloaded());
   // Best-effort still produced usable paths for the simulator.
   EXPECT_GE(result.flow_paths[0].size(), 2u);
   EXPECT_GE(result.flow_paths[1].size(), 2u);

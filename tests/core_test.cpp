@@ -9,6 +9,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "core/epoch_controller.h"
 #include "core/joint_optimizer.h"
@@ -438,6 +439,68 @@ TEST(JointOptimizer, SweepSamplesEachUniqueRoutingOnce) {
   }
 }
 
+TEST(JointOptimizer, ColdSweepRowsMatchPlanForK) {
+  // Every caller evaluates a candidate through one pipeline, so each row
+  // of the cold sweep's candidate table is plan_for_k at its K, bit for
+  // bit: at any thread count, with or without the reference slack sweep.
+  // The background is light enough that K 1-3 share one routing (and K 8-9
+  // another) and the top of the sweep overflows, so shared estimates and
+  // infeasible candidates both appear in the table.
+  const FatTree topo(4);
+  const ServiceModel model = core_model();
+  const ServerPowerModel power;
+  Rng rng(1);
+  const FlowSet background =
+      make_background_flows(FlowGenConfig{}, 4, 0.05, 0.1, rng);
+  JointOptimizerConfig config = fast_joint_config();
+  config.slack.samples_per_pair = 41;
+  config.k_max = 9.0;
+
+  for (const int threads : {1, 4}) {
+    JointOptimizerConfig threaded = config;
+    threaded.runtime.threads = threads;
+    const JointOptimizer optimizer(&topo, &model, &power, threaded);
+    std::vector<std::vector<Path>> routings;
+    int feasible = 0;
+    for (const bool reference : {false, true}) {
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " reference_slack=" + std::to_string(reference);
+      obs::PlanExplainRecord explain;
+      PlanRequest request;
+      request.background = &background;
+      request.utilization = 0.3;
+      request.use_reference_slack = reference;
+      request.explain = &explain;
+      optimizer.optimize(request);
+      ASSERT_EQ(explain.candidates.size(), 9u) << label;
+      for (const obs::PlanCandidateExplain& row : explain.candidates) {
+        const JointPlan plan = optimizer.plan_for_k(background, 0.3, row.k);
+        const std::string at = label + " K=" + std::to_string(row.k);
+        EXPECT_EQ(row.feasible, plan.feasible) << at;
+        EXPECT_EQ(row.reject_reason, plan_reject_name(plan.reject)) << at;
+        EXPECT_EQ(row.total_w, plan.total_power) << at;
+        EXPECT_EQ(row.network_w, plan.network_power) << at;
+        EXPECT_EQ(row.server_w, plan.server_power_w) << at;
+        EXPECT_EQ(row.violation_probability, plan.server.achieved_vp) << at;
+        EXPECT_EQ(row.slack_p95_us, plan.slack.total_p95) << at;
+        EXPECT_EQ(row.server_budget_us, plan.effective_server_budget) << at;
+        EXPECT_EQ(row.active_switches, plan.placement.active_switches) << at;
+        if (!reference) {
+          if (std::find(routings.begin(), routings.end(),
+                        plan.placement.flow_paths) == routings.end()) {
+            routings.push_back(plan.placement.flow_paths);
+          }
+          if (plan.feasible) ++feasible;
+        }
+      }
+    }
+    // The background must keep both cases the test is about.
+    EXPECT_LT(routings.size(), 8u) << "threads=" << threads;
+    EXPECT_GT(feasible, 0) << "threads=" << threads;
+    EXPECT_LT(feasible, 9) << "threads=" << threads;
+  }
+}
+
 // Greedy placement, except that consolidating at one K throws.
 class ThrowAtK : public Consolidator {
  public:
@@ -514,6 +577,97 @@ TEST(JointOptimizer, RejectsBadKSweepAtConstruction) {
   pinned.k_min = pinned.k_max = 2.0;
   pinned.k_step = 0.5;
   EXPECT_NO_THROW(make(pinned));
+}
+
+TEST(JointOptimizer, RejectsBadPredictorConfigAtConstruction) {
+  // A zero queue-depth cap would wrap the predictor's depth bound around
+  // in size_t and grow the shared convolution cache past what
+  // construction built, from the planner's threads; a negative or NaN
+  // target VP has no meaning (the DVFS policies refuse it too). Both are
+  // refused when the optimizer is built.
+  const FatTree topo(4);
+  const ServiceModel model = core_model();
+  const ServerPowerModel power;
+  JointOptimizerConfig no_depth;
+  no_depth.predictor.max_queue_depth = 0;
+  EXPECT_THROW(JointOptimizer(&topo, &model, &power, no_depth),
+               std::invalid_argument);
+  for (const double target : {-0.01, -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    JointOptimizerConfig config;
+    config.predictor.target_vp = target;
+    EXPECT_THROW(JointOptimizer(&topo, &model, &power, config),
+                 std::invalid_argument)
+        << "target_vp=" << target;
+  }
+  // The boundaries stay legal.
+  JointOptimizerConfig edge;
+  edge.predictor.max_queue_depth = 1;
+  edge.predictor.target_vp = 0.0;
+  EXPECT_NO_THROW(JointOptimizer(&topo, &model, &power, edge));
+}
+
+// The optimizer's pre-warm contract (run under TSan in CI): once a
+// JointOptimizer is built over a model, fresh_convolution up to
+// predictor.max_queue_depth, the work spectra that chain used and the
+// predictions that read them are plain reads, safe from many threads.
+TEST(JointOptimizer, PrewarmedCachesServeConcurrentReaders) {
+  const FatTree topo(4);
+  const ServiceModel model = core_model();
+  const ServerPowerModel power;
+  const JointOptimizer optimizer(&topo, &model, &power, fast_joint_config());
+  const std::size_t depths = optimizer.config().predictor.max_queue_depth;
+  const ServerPowerPredictor predictor(&model, &power,
+                                       optimizer.config().predictor);
+
+  // What each reader saw: the address and mean of every fresh
+  // convolution, the address and one bin of every work spectrum the chain
+  // used, and one prediction per depth-bound utilization.
+  struct Reads {
+    std::vector<const DiscreteDistribution*> fresh;
+    std::vector<double> means;
+    std::vector<const Spectrum*> spectra;
+    std::vector<double> bins;
+    std::vector<double> watts;
+  };
+  const auto read = [&] {
+    Reads r;
+    for (std::size_t depth = 1; depth <= depths; ++depth) {
+      const DiscreteDistribution& d = model.fresh_convolution(depth);
+      r.fresh.push_back(&d);
+      r.means.push_back(d.mean());
+      const std::size_t n = fft_convolution_size(d.size(), model.work().size());
+      if (depth < depths && n != 0) {
+        const Spectrum& s = model.work_spectrum(n);
+        r.spectra.push_back(&s);
+        r.bins.push_back(s.re[1]);
+      }
+    }
+    for (const double u : {0.1, 0.5, 0.9, 0.99}) {
+      r.watts.push_back(predictor.predict(u, ms(20.0)).server_power);
+    }
+    return r;
+  };
+
+  std::vector<Reads> seen(4);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    readers.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) seen[t] = read();
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+
+  const Reads serial = read();
+  ASSERT_EQ(serial.fresh.size(), depths);
+  ASSERT_FALSE(serial.spectra.empty());
+  for (const Reads& reads : seen) {
+    EXPECT_EQ(reads.fresh, serial.fresh);
+    EXPECT_EQ(reads.means, serial.means);
+    EXPECT_EQ(reads.spectra, serial.spectra);
+    EXPECT_EQ(reads.bins, serial.bins);
+    EXPECT_EQ(reads.watts, serial.watts);
+  }
 }
 
 TEST(SlackEstimator, RejectsBadConfigAtConstruction) {

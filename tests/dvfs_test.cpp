@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <functional>
@@ -20,7 +19,6 @@
 #include "dvfs/equivalent_queue.h"
 #include "dvfs/policies.h"
 #include "dvfs/synthetic_workload.h"
-#include "dvfs/vp_table.h"
 #include "golden_digest.h"
 #include "util/rng.h"
 
@@ -902,52 +900,6 @@ TEST(ResidualChainCache, BuiltLinksNeverMove) {
   EXPECT_THROW(model.residual_chain(start, 0), std::invalid_argument);
   EXPECT_THROW(shallow.violation_probability_at(2, 0.0, ms(20.0), 3),
                std::out_of_range);
-}
-
-// The parallel planner's pre-warm contract (run under TSan in CI): once a
-// VpTable is built over a model, fresh_convolution up to its depth and the
-// work spectra that chain used are plain reads, safe from many threads.
-TEST(VpTable, PrewarmedCachesServeConcurrentReaders) {
-  const ServiceModel model = test_model();
-  constexpr std::size_t kDepth = 8;
-  const VpTable table(&model, kDepth);
-  std::vector<const DiscreteDistribution*> fresh;
-  std::vector<std::size_t> sizes;
-  std::vector<const Spectrum*> spectra;
-  for (std::size_t depth = 1; depth <= kDepth; ++depth) {
-    fresh.push_back(&model.fresh_convolution(depth));
-    const std::size_t n =
-        fft_convolution_size(fresh.back()->size(), model.work().size());
-    if (depth < kDepth && n != 0) {
-      sizes.push_back(n);
-      spectra.push_back(&model.work_spectrum(n));
-    }
-  }
-  ASSERT_FALSE(sizes.empty());
-  const double serial_vp = table.violation_probability(kDepth, ms(60.0), 0);
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      for (int rep = 0; rep < 20; ++rep) {
-        for (std::size_t depth = 1; depth <= kDepth; ++depth) {
-          const DiscreteDistribution& d = model.fresh_convolution(depth);
-          const DiscreteDistribution* expect = fresh[depth - 1];
-          if (&d != expect || d.mean() != expect->mean()) ++mismatches;
-        }
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-          const Spectrum& s = model.work_spectrum(sizes[i]);
-          if (&s != spectra[i] || s.re[1] != spectra[i]->re[1]) ++mismatches;
-        }
-        if (table.violation_probability(kDepth, ms(60.0), 0) != serial_vp) {
-          ++mismatches;
-        }
-      }
-    });
-  }
-  for (std::thread& reader : readers) reader.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

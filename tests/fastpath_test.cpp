@@ -1,13 +1,13 @@
 // Differential tests for the planner's fast paths (ISSUE 6 tentpole).
 //
 // The cold K sweep has three optimized subsystems — batched antithetic
-// Monte-Carlo slack estimation, per-frequency CCDF tables, and the memoized
-// PathCatalog — each with a retained reference implementation selectable
-// per PlanRequest. The contract: every knob combination, at every thread
+// Monte-Carlo slack estimation, the predictor's per-grid-index violation
+// probability, and the memoized PathCatalog — each with a retained
+// reference implementation selectable per PlanRequest. The contract: every knob combination, at every thread
 // count, returns a byte-identical JointPlan. These tests pin that contract
-// across seeds 1/42/99 and threads 1/4/8, and additionally pin the two
+// across seeds 1/42/99 and threads 1/4/8, and additionally pin the
 // low-level parities it rests on (vectorized block logs == scalar logs;
-// prepared-hop pair sampler == per-sample reference walk).
+// both slack samplers == the golden estimate bits).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -244,41 +244,6 @@ TEST(FastPath, BlockLogBitIdenticalToScalarLog) {
   }
 }
 
-TEST(FastPath, PreparedPairSamplerMatchesReferenceWalk) {
-  // sample_prepared_pair (prepared-hop constants) and sample_pair (per-draw
-  // re-derivation) must consume the RNG identically and return identical
-  // bits — the core parity behind use_reference_slack.
-  const FatTree topo(4);
-  FlowSet flows;
-  const FlowId req = flows.add(0, 15, 10.0, FlowClass::LatencySensitive);
-  const FlowId rep = flows.add(15, 0, 40.0, FlowClass::LatencySensitive);
-  const GreedyConsolidator greedy(&topo);
-  const auto placement = greedy.consolidate(flows, ConsolidationConfig{});
-  ASSERT_TRUE(placement.feasible);
-
-  LinkUtilization load(&topo.graph());
-  load.add_path_load(placement.flow_paths[static_cast<std::size_t>(req)],
-                     500.0);
-  const PathLatencyEstimator estimator(&load, LinkLatencyModel{});
-
-  for (const FlowId flow : {req, rep}) {
-    const Path& path = placement.flow_paths[static_cast<std::size_t>(flow)];
-    std::vector<PreparedHop> hops;
-    estimator.prepare(path, &hops);
-
-    Rng fast_rng(99);
-    Rng reference_rng(99);
-    for (int draw = 0; draw < 256; ++draw) {
-      SimTime fast_even, fast_odd, reference_even, reference_odd;
-      estimator.sample_prepared_pair(hops, fast_rng, &fast_even, &fast_odd);
-      estimator.sample_pair(path, reference_rng, &reference_even,
-                            &reference_odd);
-      ASSERT_EQ(fast_even, reference_even) << "draw=" << draw;
-      ASSERT_EQ(fast_odd, reference_odd) << "draw=" << draw;
-    }
-  }
-}
-
 TEST(FastPath, BatchEstimateMatchesSingleShot) {
   // estimate_many(queries)[i] must be bit-identical to estimate(queries[i])
   // — the batch seam adds parallelism, never different numbers.
@@ -414,10 +379,10 @@ TEST(SlackGolden, EstimateManyMatchesReferenceBits) {
       config.samples_per_pair = 101;
       config.shards = 8;
       config.seed = 2024;
-      config.runtime.threads = threads;
       const SlackEstimator estimator(config);
+      ThreadPool pool(threads);
       const std::vector<SlackEstimate> estimates =
-          estimator.estimate_many(fixture.queries(), nullptr, reference);
+          estimator.estimate_many(fixture.queries(), &pool, reference);
       ASSERT_EQ(estimates.size(), 2u);
       EXPECT_EQ(slack_digest(estimates), 0x9f3f9a1b462c8282ull)
           << "reference=" << reference << " threads=" << threads;

@@ -25,12 +25,22 @@
 // bench/trajectories/BENCH_7.json (the pinned fingerprint and the
 // within-run speedup floor).
 //
+// Timing: the rows are timed interleaved — repetition r times one
+// optimize() of every row in turn, reference first — and each row reports
+// the median of its repetitions. The gated speedup is the median over the
+// repetitions of reference_ms[r] / fast_ms[r] for the serial rows, so a
+// stretch of host contention slows both sides of a ratio instead of
+// whichever row it happens to fall on.
+//
 //   ./bench_micro_parallel_planner [--reps=5] [--samples=400] [--csv|--json]
 //       [--no-timing] [--threads=N]
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/joint_optimizer.h"
@@ -39,19 +49,20 @@ using namespace eprons;
 
 namespace {
 
-double time_optimize(const JointOptimizer& optimizer,
-                     const PlanRequest& request, int reps, JointPlan* out) {
-  double best_ms = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    JointPlan plan = optimizer.optimize(request);
-    const auto stop = std::chrono::steady_clock::now();
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    best_ms = std::min(best_ms, elapsed_ms);
-    *out = std::move(plan);
-  }
-  return best_ms;
+double time_optimize_ms(const JointOptimizer& optimizer,
+                        const PlanRequest& request, JointPlan* out) {
+  const auto start = std::chrono::steady_clock::now();
+  JointPlan plan = optimizer.optimize(request);
+  const auto stop = std::chrono::steady_clock::now();
+  *out = std::move(plan);
+  return std::chrono::duration<double, std::milli>(stop - start).count();
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 bool plans_identical(const JointPlan& a, const JointPlan& b) {
@@ -132,16 +143,9 @@ int main(int argc, char** argv) {
   config.slack.samples_per_pair =
       static_cast<int>(cli.get_int("samples", 400));
 
-  Table table({"mode", "threads", "best_ms", "speedup", "K", "total_W",
+  Table table({"mode", "threads", "median_ms", "speedup", "K", "total_W",
                "fingerprint", "plan_identical"});
   table.set_precision(2);
-
-  JointPlan reference_plan;
-  double reference_ms = 0.0;
-  double fast_serial_ms = 0.0;
-  bool all_identical = true;
-  std::uint64_t reference_fp = 0;
-  std::uint64_t fast_fp = 0;
 
   struct RowSpec {
     const char* mode;
@@ -154,35 +158,58 @@ int main(int argc, char** argv) {
       {"fast", 2, false},
       {"fast", 4, false},
   };
-  for (const RowSpec& spec : rows) {
+  constexpr std::size_t kRows = std::size(rows);
+  constexpr std::size_t kReferenceRow = 0;
+  constexpr std::size_t kFastSerialRow = 1;
+  const auto make_optimizer = [&](const RowSpec& spec) {
     JointOptimizerConfig cfg = config;
     cfg.runtime.threads = spec.threads;
-    const JointOptimizer optimizer = scn.optimizer(cfg);
-
+    return scn.optimizer(cfg);
+  };
+  const JointOptimizer optimizers[kRows] = {
+      make_optimizer(rows[0]), make_optimizer(rows[1]),
+      make_optimizer(rows[2]), make_optimizer(rows[3])};
+  std::vector<PlanRequest> requests;
+  for (const RowSpec& spec : rows) {
     PlanRequest request;
     request.background = &background;
     request.utilization = utilization;
     request.use_reference_slack = spec.reference;
     request.use_reference_dvfs = spec.reference;
     request.use_reference_enumeration = spec.reference;
+    requests.push_back(request);
+  }
 
-    JointPlan plan;
-    const double best_ms = time_optimize(optimizer, request, reps, &plan);
-    const std::uint64_t fp = plan_fingerprint(plan);
-    if (spec.reference) {
-      reference_plan = plan;
-      reference_ms = best_ms;
-      reference_fp = fp;
-    } else if (spec.threads == 1) {
-      fast_serial_ms = best_ms;
-      fast_fp = fp;
+  // One repetition of every row at a time, in row order.
+  std::vector<std::vector<double>> row_ms(kRows);
+  std::vector<double> ratios;
+  std::vector<JointPlan> plans(kRows);
+  for (int r = 0; r < std::max(reps, 1); ++r) {
+    for (std::size_t row = 0; row < kRows; ++row) {
+      row_ms[row].push_back(
+          time_optimize_ms(optimizers[row], requests[row], &plans[row]));
     }
+    ratios.push_back(row_ms[kReferenceRow].back() /
+                     row_ms[kFastSerialRow].back());
+  }
+
+  const JointPlan& reference_plan = plans[kReferenceRow];
+  const std::uint64_t reference_fp = plan_fingerprint(reference_plan);
+  const std::uint64_t fast_fp = plan_fingerprint(plans[kFastSerialRow]);
+  const double reference_ms = median(row_ms[kReferenceRow]);
+  const double fast_serial_ms = median(row_ms[kFastSerialRow]);
+  bool all_identical = true;
+  for (std::size_t row = 0; row < kRows; ++row) {
+    const RowSpec& spec = rows[row];
+    const JointPlan& plan = plans[row];
+    const std::uint64_t fp = plan_fingerprint(plan);
     const bool identical = plans_identical(plan, reference_plan);
     all_identical = all_identical && identical && fp == reference_fp;
+    const double row_median = median(row_ms[row]);
     table.add_row({std::string(spec.mode),
                    static_cast<long long>(spec.threads),
-                   no_timing ? 0.0 : best_ms,
-                   no_timing ? 0.0 : reference_ms / best_ms, plan.k,
+                   no_timing ? 0.0 : row_median,
+                   no_timing ? 0.0 : reference_ms / row_median, plan.k,
                    plan.total_power, strformat("%016llx",
                        static_cast<unsigned long long>(fp)),
                    std::string(identical ? "yes" : "NO")});
@@ -197,12 +224,12 @@ int main(int argc, char** argv) {
     std::printf("FAIL: plans differ across implementations/threads\n");
     return EXIT_FAILURE;
   }
-  const double speedup =
-      fast_serial_ms > 0.0 ? reference_ms / fast_serial_ms : 0.0;
+  const double speedup = median(ratios);
   if (!no_timing) {
     std::printf("serial cold sweep: reference %.2f ms, fast %.2f ms "
-                "(%.1fx)\n",
-                reference_ms, fast_serial_ms, speedup);
+                "(medians of %zu interleaved repetitions; median ratio "
+                "%.1fx)\n",
+                reference_ms, fast_serial_ms, ratios.size(), speedup);
   }
   std::printf("all implementations and thread counts produced "
               "byte-identical plans\n");

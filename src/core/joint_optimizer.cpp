@@ -124,7 +124,8 @@ JointOptimizer::JointOptimizer(const Topology* topo,
       power_model_(power_model),
       config_(validated(std::move(config))),
       consolidator_(consolidator ? consolidator : &default_consolidator_),
-      path_catalog_(topo) {
+      path_catalog_(topo),
+      slack_estimator_(config_.slack) {
   // The predictor reads fresh_convolution at depths up to max_queue_depth;
   // building them here, serially, leaves every later read a plain read.
   service_model_->fresh_convolution(config_.predictor.max_queue_depth);
@@ -294,8 +295,7 @@ std::vector<JointPlan> JointOptimizer::evaluate(
   // Leaders are decided in candidate order, so the plans and counters
   // match the serial order.
   std::vector<std::optional<LinkUtilization>> loads(ks.size());
-  const SlackEstimator estimator(config_.slack);
-  const std::vector<SlackEstimate> estimates = estimator.estimate_many(
+  const std::vector<SlackEstimate> estimates = slack_estimator_.estimate_many(
       ks.size(),
       [&](std::size_t i) {
         const obs::ScopedSpan k_span(obs::tracer(), "plan_k", "planner", "k",

@@ -20,8 +20,10 @@
 //     the cold sweep's consolidations run ahead of, and overlap, the slack
 //     sampling;
 //   * the traced hot spots each have a fast implementation — batched
-//     prepared-path Monte-Carlo with per-shard scratch, a vectorized
-//     hop-major combine and a parallel merge (SlackEstimator), the
+//     prepared-path Monte-Carlo reading lane-regenerated uniform streams,
+//     a hop-major combine at the host's full vector width, pooled sample
+//     buffers and a parallel merge (one SlackEstimator for the optimizer's
+//     lifetime), the
 //     equivalent-request chain convolved once at construction and read by
 //     grid index, and memoized per-pair path enumeration shared across the
 //     K candidates (topo/path_catalog.h) feeding a greedy packer that stops
@@ -203,6 +205,10 @@ class JointOptimizer {
   /// epoch controller runs its demand measurement on it between
   /// optimize() calls, so no second pool is started.
   ThreadPool* pool() const { return pool_.get(); }
+  /// The slack estimator every plan evaluation samples with, kept for the
+  /// optimizer's lifetime so its sample buffers and stream checkpoints
+  /// carry over from one optimize() call to the next.
+  const SlackEstimator& slack_estimator() const { return slack_estimator_; }
 
   /// Evaluates one candidate K (used directly by ablation benches).
   JointPlan plan_for_k(const FlowSet& background, double utilization,
@@ -285,6 +291,9 @@ class JointOptimizer {
   /// Memoized per-pair path enumeration shared by every consolidate call
   /// (thread-safe; entries fill on first use).
   PathCatalog path_catalog_;
+  /// Built from config_.slack; its buffer pool and checkpoint table fill
+  /// on first use (thread-safe).
+  SlackEstimator slack_estimator_;
 };
 
 }  // namespace eprons

@@ -24,18 +24,35 @@
 // size included, is part of the result definition.
 //
 // Two samplers share that order. The default (fast) path prepares each
-// pair's per-hop constants once (net/path_latency.h PreparedHop),
-// pre-draws the block's burst/collision uniforms, takes every log through
-// the vectorized stats/fast_log block, and combines hop by hop across the
-// block's iterations with the vectorized LinkLatencyModel::combine_hop_block
-// — each sample still sums its hops in path order. The reference sampler
-// is the per-sample oracle: it re-derives the constants — a
-// directed-utilization lookup per hop — on every iteration, takes scalar
-// logs and draws each hop's burst/collision uniforms as it combines it
-// through combine_hop_pair, the one-wide case of the same kernel. Both
-// produce the same bits (SIMD lanes run the identical IEEE op sequence);
-// `reference_sampling` exists for differential tests and for bisecting a
-// determinism regression (docs/DETERMINISM.md).
+// pair's per-hop constants once (net/path_latency.h PreparedHop), reads
+// the block's uniforms through a util/rng_lanes.h UniformWindow, takes
+// every log through the vectorized stats/fast_log block, and combines hop
+// by hop across the block's iterations with
+// LinkLatencyModel::combine_hop_block — each sample still sums its hops in
+// path order. Every call restarts shard s at the start of the same split()
+// stream, so the estimator keeps that stream's generator state every
+// RngCheckpoints::kStride draws (a memo of a pure function of the seed,
+// grown on first use) and a unit regenerates its stream eight lanes at a
+// time from those checkpoints instead of stepping an Rng once per draw;
+// the lanes ARE the scalar stream, bit for bit. The fast unit — window
+// read, lane combine — is compiled once per instruction-set body
+// (util/simd.h: AVX-512, AVX2, baseline) and runs the widest the host has.
+// The reference sampler is the per-sample oracle: it steps a scalar Rng,
+// re-derives the constants — a directed-utilization lookup per hop — on
+// every iteration, takes scalar logs and draws each hop's burst/collision
+// uniforms as it combines it through combine_hop_pair, the one-wide case
+// of the same kernel. Both produce the same bits (SIMD lanes run the
+// identical IEEE op sequence); `reference_sampling` exists for
+// differential tests and for bisecting a determinism regression
+// (docs/DETERMINISM.md).
+//
+// The estimator lends each leader its two sample buffers from a pool that
+// it keeps across calls (mutex-guarded: estimate_many is const and may run
+// concurrently), so a planner that keeps one estimator for its lifetime
+// reuses the previous epoch's memory instead of mapping fresh pages for
+// every estimate. Neither the pool nor the checkpoint table does any work
+// in the constructor; both grow on demand and only change how long a call
+// takes, never what it returns.
 //
 // The merge runs one task per (query, request|total buffer) on the same
 // pool: each buffer's mean sums its fixed insertion order, and its
@@ -52,11 +69,15 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "consolidate/consolidation.h"
 #include "net/path_latency.h"
 #include "util/rng.h"
+#include "util/rng_lanes.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace eprons {
@@ -139,7 +160,26 @@ class SlackEstimator {
       ThreadPool* pool = nullptr, bool reference_sampling = false) const;
 
  private:
+  friend struct SlackEstimatorProbe;  // tests: body choice, cache sizes
+
+  /// A sample buffer lent to one leader for one call.
+  struct SampleBuffer {
+    std::unique_ptr<double[]> data;
+    std::size_t capacity = 0;
+  };
+  /// The pooled buffer that best fits `size` doubles (the smallest large
+  /// enough, else the largest, regrown), or a new one.
+  SampleBuffer borrow(std::size_t size) const;
+  void give_back(std::vector<SampleBuffer>& buffers) const;
+
   SlackEstimatorConfig config_;
+  /// The body the fast sampler's units run (util/simd.h).
+  SimdBody body_ = host_simd_body();
+  /// Shard s's stream, every RngCheckpoints::kStride draws.
+  RngCheckpoints checkpoints_;
+  mutable std::mutex pool_mutex_;
+  /// Buffers between calls.
+  mutable std::vector<SampleBuffer> pool_;
 };
 
 }  // namespace eprons

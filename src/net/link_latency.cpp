@@ -11,6 +11,18 @@ LinkLatencyModel::LinkLatencyModel(LinkLatencyConfig config)
       config_.buffer_packets < 1.0) {
     throw std::invalid_argument("bad link latency configuration");
   }
+  // Negated comparisons, so a NaN fails them too: a NaN burst_coeff would
+  // otherwise turn the burst term off silently (p_burst > 0 is false).
+  if (!(config_.base_latency_us >= 0.0) || !(config_.burst_len_us >= 0.0) ||
+      !(config_.burst_coeff >= 0.0)) {
+    throw std::invalid_argument(
+        "LinkLatencyConfig base_latency_us, burst_len_us and burst_coeff "
+        "must be >= 0 (and not NaN)");
+  }
+  if (!(config_.knee_utilization >= 0.0 && config_.knee_utilization <= 1.0)) {
+    throw std::invalid_argument(
+        "LinkLatencyConfig knee_utilization must be in [0, 1]");
+  }
 }
 
 SimTime LinkLatencyModel::packet_service_time() const {

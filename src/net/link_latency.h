@@ -17,8 +17,14 @@
 // The per-hop antithetic arithmetic has one definition,
 // LinkLatencyModel::combine_hop_block: a branch-free lane loop that the
 // slack estimator's fast sampler runs hop by hop over a block of pre-drawn
-// uniforms (vectorized there), and that its per-sample reference sampler
-// runs one lane wide through combine_hop_pair.
+// uniforms (always inlined, so each of the sampler's instruction-set
+// bodies vectorizes it at its own width), and that its per-sample
+// reference sampler runs one lane wide through combine_hop_pair.
+//
+// The constructor rejects a configuration that would sample nonsense:
+// non-positive capacity or packet size, a buffer under one packet, a
+// negative or NaN base latency, burst coefficient or burst length, or a
+// knee outside [0, 1].
 #pragma once
 
 #include <algorithm>
@@ -80,7 +86,10 @@ struct LinkLatencyConfig {
 class LinkLatencyModel {
  public:
   // Implicit on purpose: configs convert to models in aggregate
-  // initializers throughout the experiment structs.
+  // initializers throughout the experiment structs. Throws
+  // std::invalid_argument unless capacity_mbps > 0, avg_packet_bytes > 0,
+  // buffer_packets >= 1, base_latency_us, burst_coeff and burst_len_us are
+  // >= 0 (not NaN) and knee_utilization is in [0, 1].
   LinkLatencyModel(LinkLatencyConfig config = {});  // NOLINT
 
   const LinkLatencyConfig& config() const { return config_; }
@@ -161,11 +170,13 @@ class LinkLatencyModel {
   /// burst_u[j] (p_burst > 0) and the collision uniform collision_u[j]
   /// (bursty > 0); the other array may be unset. The data-dependent
   /// branches are selects between two computed values, so the lane loop
-  /// vectorizes and every lane runs the scalar op sequence.
-  void combine_hop_block(const PreparedHop& hop, const double* log_e,
-                         const double* log_o, const double* burst_u,
-                         const double* collision_u, std::size_t lanes,
-                         SimTime* sum_e, SimTime* sum_o) const {
+  /// vectorizes and every lane runs the scalar op sequence. Always
+  /// inlined: each of the slack sampler's instruction-set bodies
+  /// (util/simd.h) compiles the lane loops at its own vector width.
+  [[gnu::always_inline]] void combine_hop_block(
+      const PreparedHop& hop, const double* log_e, const double* log_o,
+      const double* burst_u, const double* collision_u, std::size_t lanes,
+      SimTime* sum_e, SimTime* sum_o) const {
     if (hop.p_burst > 0.0) {
       if (hop.bursty > 0.0) {
         combine_lanes<true, true>(hop, log_e, log_o, burst_u, collision_u,
@@ -197,10 +208,10 @@ class LinkLatencyModel {
 
   /// combine_hop_block's lane loop for one (burst, collision) term shape.
   template <bool kBurst, bool kCollision>
-  void combine_lanes(const PreparedHop& hop, const double* log_e,
-                     const double* log_o, const double* burst_u,
-                     const double* collision_u, std::size_t lanes,
-                     SimTime* sum_e, SimTime* sum_o) const {
+  [[gnu::always_inline]] void combine_lanes(
+      const PreparedHop& hop, const double* log_e, const double* log_o,
+      const double* burst_u, const double* collision_u, std::size_t lanes,
+      SimTime* sum_e, SimTime* sum_o) const {
     const double base = config_.base_latency_us;
     const double burst_len = config_.burst_len_us;
     const double sojourn = hop.sojourn_mean;

@@ -57,10 +57,11 @@ namespace {
 double fast_log(double x) { return log_impl(x); }
 
 // The block loops carry target_clones so the runtime dispatcher can pick a
-// 4-wide AVX2 body on hosts that have it while the build itself stays at
-// the portable baseline. Bit-exactness is unaffected: every clone runs the
-// identical sequence of IEEE double operations per lane (packed divide/
-// multiply/add lanes equal their scalar counterparts exactly, and
+// 4-wide AVX2 body on hosts that have it — and, for the slack sampler's
+// antithetic block, an 8-wide AVX-512 body — while the build itself stays
+// at the portable baseline. Bit-exactness is unaffected: every clone runs
+// the identical sequence of IEEE double operations per lane (packed
+// divide/multiply/add lanes equal their scalar counterparts exactly, and
 // -ffp-contract=off on this file forbids FMA fusion in every clone), so
 // all clones — and the scalar fast_log — agree bit for bit.
 //
@@ -75,7 +76,7 @@ void fast_log_block(const double* x, double* out, std::size_t n) {
 }
 
 #if !defined(__SANITIZE_THREAD__)
-[[gnu::target_clones("avx2", "default")]]
+[[gnu::target_clones("avx512f", "avx2", "default")]]
 #endif
 void fast_log_block_antithetic(const double* x, double* lg_e, double* lg_o,
                                std::size_t n) {

@@ -43,7 +43,9 @@ void fast_log_block(const double* x, double* out, std::size_t n);
 /// fast_log(1.0 - x[i]) in a single vectorized pass (the subtraction is
 /// one exact IEEE op, so the results match the two-call spelling bit for
 /// bit). In-place (lg_e == x) is allowed. Feeds the slack estimator's
-/// paired exponential draws without materializing the 1-x buffer.
+/// paired exponential draws without materializing the 1-x buffer, and so
+/// also has an 8-wide AVX-512 clone besides the AVX2 one; all clones
+/// return the same bits.
 void fast_log_block_antithetic(const double* x, double* lg_e, double* lg_o,
                                std::size_t n);
 

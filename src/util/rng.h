@@ -4,6 +4,13 @@
 // Blackman & Vigna) instead of std::mt19937 because (a) it is faster, (b) its
 // stream-split semantics (jump()) let us give every simulated component an
 // independent, deterministic stream from a single experiment seed.
+//
+// The generator's whole position is its four state words (state()); a
+// stream can therefore be regenerated from any saved state, several
+// positions at once. util/rng_lanes.h does that for the slack estimator:
+// eight lanes started from states saved every RngCheckpoints::kStride draws
+// step in lockstep and return the very uniform() values of the scalar
+// stream, in stream order.
 #pragma once
 
 #include <array>
@@ -73,6 +80,16 @@ class Rng {
   /// Returns a new generator 2^128 steps ahead; use to derive independent
   /// streams for sub-components from one experiment seed.
   Rng split();
+
+  /// The four xoshiro256** state words: the generator's position in its
+  /// stream (the normal() variate it may have cached aside).
+  using State = std::array<std::uint64_t, 4>;
+  const State& state() const { return s_; }
+
+  /// Skips the next `n` draws, as n calls of next() would.
+  void discard(std::uint64_t n) {
+    for (; n > 0; --n) next();
+  }
 
   /// Uniform double in [0, 1). Inline: one generator step and one exact
   /// multiply by 2^-53 (a single IEEE operation — nothing to contract).

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "consolidate/greedy_consolidator.h"
@@ -19,8 +21,37 @@
 #include "golden_digest.h"
 #include "net/path_latency.h"
 #include "stats/fast_log.h"
+#include "util/simd.h"
 
 namespace eprons {
+
+// Test seam on SlackEstimator (a friend): which instruction-set body the
+// fast sampler's units run, and the sizes of what the estimator keeps
+// across calls.
+struct SlackEstimatorProbe {
+  static void use_body(SlackEstimator& estimator, SimdBody body) {
+    estimator.body_ = body;
+  }
+  struct Footprint {
+    std::size_t buffers = 0;
+    std::size_t buffered_doubles = 0;
+    std::size_t checkpoints = 0;
+    bool operator==(const Footprint&) const = default;
+  };
+  static Footprint footprint(const SlackEstimator& estimator) {
+    Footprint out;
+    {
+      const std::lock_guard<std::mutex> lock(estimator.pool_mutex_);
+      out.buffers = estimator.pool_.size();
+      for (const auto& buffer : estimator.pool_) {
+        out.buffered_doubles += buffer.capacity;
+      }
+    }
+    out.checkpoints = estimator.checkpoints_.size();
+    return out;
+  }
+};
+
 namespace {
 
 ServiceModel fastpath_model() {
@@ -388,6 +419,183 @@ TEST(SlackGolden, EstimateManyMatchesReferenceBits) {
           << "reference=" << reference << " threads=" << threads;
     }
   }
+}
+
+// Under a link model whose burst_coeff exceeds 0.5, a hop past p_burst 0.5
+// can land both antithetic partners behind the burst, and a hop whose
+// elephant duty cycle exceeds 0.5 can collide both; at or below 0.5 at most
+// one partner lands. The default link model never has a burst term past
+// 0.5. This load over the golden placement carries hops of all four kinds.
+LinkLatencyConfig high_term_link() {
+  LinkLatencyConfig link;
+  link.burst_coeff = 0.9;
+  return link;
+}
+
+LinkUtilization high_term_load(const SlackGoldenFixture& fixture) {
+  const auto path = [&](FlowId id) -> const Path& {
+    return fixture.placement.flow_paths[static_cast<std::size_t>(id)];
+  };
+  LinkUtilization load = fixture.placement.offered_load(
+      fixture.topo.graph(), fixture.flows);
+  load.add_path_load(path(fixture.request_flows[3]), 780.0);
+  load.add_path_load(path(fixture.request_flows[9]), 960.0);
+  load.add_path_load(path(fixture.reply_flows[5]), 300.0, /*bursty=*/true);
+  load.add_path_load(path(fixture.reply_flows[10]), 700.0, /*bursty=*/true);
+  return load;
+}
+
+// The digest was captured from the reference sampler.
+TEST(SlackGolden, TermsAboveOneHalfMatchPinnedBits) {
+  const SlackGoldenFixture fixture;
+  ASSERT_TRUE(fixture.placement.feasible);
+  const LinkLatencyConfig link = high_term_link();
+  const LinkUtilization load = high_term_load(fixture);
+
+  int burst_low = 0;
+  int burst_high = 0;
+  int collision_low = 0;
+  int collision_high = 0;
+  const PathLatencyEstimator hops_of(&load, LinkLatencyModel{link});
+  std::vector<PreparedHop> hops;
+  for (const Path& p : fixture.placement.flow_paths) {
+    hops_of.prepare(p, &hops);
+    for (const PreparedHop& hop : hops) {
+      if (hop.p_burst > 0.0) ++(hop.p_burst <= 0.5 ? burst_low : burst_high);
+      if (hop.bursty > 0.0) {
+        ++(hop.bursty <= 0.5 ? collision_low : collision_high);
+      }
+    }
+  }
+  ASSERT_GT(burst_low, 0);
+  ASSERT_GT(burst_high, 0);
+  ASSERT_GT(collision_low, 0);
+  ASSERT_GT(collision_high, 0);
+
+  std::vector<SlackEstimator::Query> queries = fixture.queries();
+  for (SlackEstimator::Query& query : queries) query.offered_load = &load;
+  for (const bool reference : {false, true}) {
+    for (const int threads : {1, 4}) {
+      SlackEstimatorConfig config;
+      config.samples_per_pair = 101;
+      config.shards = 8;
+      config.seed = 2024;
+      config.link_model = LinkLatencyModel{link};
+      const SlackEstimator estimator(config);
+      ThreadPool pool(threads);
+      const std::vector<SlackEstimate> estimates =
+          estimator.estimate_many(queries, &pool, reference);
+      ASSERT_EQ(estimates.size(), 2u);
+      EXPECT_EQ(slack_digest(estimates), 0xcd3182608bb3d813ull)
+          << "reference=" << reference << " threads=" << threads;
+    }
+  }
+}
+
+// Every body the host runs, at 1, 2, 4 and 8 workers, returns the pinned
+// bits of both slack goldens — the default link model's and the one with
+// terms above 0.5 — as does the reference sampler, which steps a scalar
+// Rng.
+TEST(SlackSampler, EveryBodyMatchesPinnedBitsAtEveryThreadCount) {
+  const SlackGoldenFixture fixture;
+  ASSERT_TRUE(fixture.placement.feasible);
+  const LinkUtilization load = high_term_load(fixture);
+  std::vector<SlackEstimator::Query> high_terms = fixture.queries();
+  for (SlackEstimator::Query& query : high_terms) query.offered_load = &load;
+  struct Golden {
+    const char* name;
+    LinkLatencyConfig link;
+    std::vector<SlackEstimator::Query> queries;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {"default", LinkLatencyConfig{}, fixture.queries(),
+       0x9f3f9a1b462c8282ull},
+      {"terms above 0.5", high_term_link(), high_terms,
+       0xcd3182608bb3d813ull},
+  };
+  std::vector<SimdBody> bodies;
+  for (const SimdBody body :
+       {SimdBody::kBaseline, SimdBody::kAvx2, SimdBody::kAvx512}) {
+    if (simd_body_runs(body)) bodies.push_back(body);
+  }
+  for (const Golden& golden : goldens) {
+    for (const int threads : {1, 2, 4, 8}) {
+      ThreadPool pool(threads);
+      SlackEstimatorConfig config;
+      config.samples_per_pair = 101;
+      config.shards = 8;
+      config.seed = 2024;
+      config.link_model = LinkLatencyModel{golden.link};
+      const std::string label = std::string(golden.name) +
+                                " threads=" + std::to_string(threads);
+      for (const SimdBody body : bodies) {
+        SlackEstimator estimator(config);
+        SlackEstimatorProbe::use_body(estimator, body);
+        EXPECT_EQ(slack_digest(estimator.estimate_many(golden.queries, &pool)),
+                  golden.digest)
+            << label << " body=" << static_cast<int>(body);
+      }
+      const SlackEstimator reference(config);
+      EXPECT_EQ(slack_digest(reference.estimate_many(golden.queries, &pool,
+                                                     /*reference=*/true)),
+                golden.digest)
+          << label << " reference";
+    }
+  }
+}
+
+// Epoch after epoch through one optimizer, whose estimator keeps its
+// sample buffers and stream checkpoints: the plans equal those of a
+// freshly built optimizer, whose estimator has drawn nothing, and once an
+// epoch has run, running it again grows neither the buffer pool nor the
+// checkpoint table.
+TEST(SlackSampler, RepeatedEpochsReuseBuffersAndCheckpoints) {
+  const FatTree topo(4);
+  const ServiceModel model = fastpath_model();
+  const ServerPowerModel power;
+  JointOptimizerConfig config;
+  config.slack.samples_per_pair = 120;
+  config.runtime.threads = 4;
+  const JointOptimizer optimizer(&topo, &model, &power, config);
+  const SlackEstimator& kept = optimizer.slack_estimator();
+  using Footprint = SlackEstimatorProbe::Footprint;
+  EXPECT_EQ(SlackEstimatorProbe::footprint(kept), Footprint{});
+
+  std::vector<FlowSet> backgrounds;
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    Rng rng(100 + epoch);
+    backgrounds.push_back(make_background_flows(FlowGenConfig{}, 8,
+                                                0.2 + 0.08 * epoch, 0.1, rng));
+  }
+  BitDigest digest;
+  const auto run_epoch = [&](int epoch, bool record) {
+    PlanRequest request;
+    request.background = &backgrounds[static_cast<std::size_t>(epoch)];
+    request.utilization = 0.2 + 0.05 * epoch;
+    const JointPlan plan = optimizer.optimize(request);
+    const JointOptimizer fresh(&topo, &model, &power, config);
+    expect_plans_identical(plan, fresh.optimize(request),
+                           "epoch=" + std::to_string(epoch));
+    if (!record) return;
+    for (const double v : {plan.slack.request_mean, plan.slack.request_p95,
+                           plan.slack.total_mean, plan.slack.total_p95,
+                           plan.slack.total_p99, plan.total_power}) {
+      digest.mix_double(v);
+    }
+  };
+
+  run_epoch(0, true);
+  const Footprint first = SlackEstimatorProbe::footprint(kept);
+  EXPECT_GT(first.buffers, 0u);
+  EXPECT_GT(first.checkpoints, 0u);
+  run_epoch(0, false);
+  EXPECT_EQ(SlackEstimatorProbe::footprint(kept), first);
+  for (int epoch = 1; epoch < 4; ++epoch) run_epoch(epoch, true);
+  EXPECT_EQ(digest.value(), 0xf8c07386b8ad29d6ull);
+  const Footprint all = SlackEstimatorProbe::footprint(kept);
+  for (int epoch = 0; epoch < 4; ++epoch) run_epoch(epoch, false);
+  EXPECT_EQ(SlackEstimatorProbe::footprint(kept), all);
 }
 
 }  // namespace

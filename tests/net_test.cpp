@@ -2,6 +2,9 @@
 // directed link load accounting, and path latency composition.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "net/link_latency.h"
 #include "net/link_utilization.h"
 #include "net/path_latency.h"
@@ -70,6 +73,36 @@ TEST(LinkLatency, RejectsBadConfig) {
   LinkLatencyConfig bad;
   bad.capacity_mbps = 0.0;
   EXPECT_THROW(LinkLatencyModel{bad}, std::invalid_argument);
+}
+
+TEST(LinkLatency, RejectsNanOrNegativeTermsAtConstruction) {
+  // A NaN burst_coeff used to turn the burst term off silently (p_burst > 0
+  // is false for NaN); every sampling constant is now checked once, here.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using Field = double LinkLatencyConfig::*;
+  for (const Field field :
+       {&LinkLatencyConfig::base_latency_us, &LinkLatencyConfig::burst_len_us,
+        &LinkLatencyConfig::burst_coeff}) {
+    for (const double value : {nan, -1e-9, -1.0}) {
+      LinkLatencyConfig bad;
+      bad.*field = value;
+      EXPECT_THROW(LinkLatencyModel{bad}, std::invalid_argument) << value;
+    }
+    LinkLatencyConfig zero;
+    zero.*field = 0.0;
+    EXPECT_NO_THROW(LinkLatencyModel{zero});
+  }
+  for (const double knee : {nan, -0.01, 1.01}) {
+    LinkLatencyConfig bad;
+    bad.knee_utilization = knee;
+    EXPECT_THROW(LinkLatencyModel{bad}, std::invalid_argument) << knee;
+  }
+  for (const double knee : {0.0, 0.5, 1.0}) {
+    LinkLatencyConfig edge;
+    edge.knee_utilization = knee;
+    EXPECT_NO_THROW(LinkLatencyModel{edge}) << knee;
+  }
+  EXPECT_NO_THROW(LinkLatencyModel{LinkLatencyConfig{}});
 }
 
 // Property sweep: sampling never under-runs base latency at any utilization.

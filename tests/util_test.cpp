@@ -12,17 +12,31 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/cli.h"
 #include "util/log.h"
 #include "util/rng.h"
+#include "util/rng_lanes.h"
+#include "util/simd.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 #include "util/types.h"
 
 namespace eprons {
+
+// Test seam on UniformWindow (a friend): regenerates the window's next
+// round now and exposes the round's slots, so a test can plant a draw.
+struct UniformWindowProbe {
+  static double* refill(UniformWindow& window) {
+    window.refill();
+    return window.round_.get();
+  }
+  static double* slots(UniformWindow& window) { return window.round_.get(); }
+};
+
 namespace {
 
 TEST(Types, WorkTimeConversionRoundTrips) {
@@ -217,6 +231,175 @@ TEST(Rng, BoundedParetoStaysInBounds) {
     EXPECT_GE(x, 1.0);
     EXPECT_LE(x, 50.0 + 1e-9);
   }
+}
+
+// The bodies util/simd.h says this build and host can execute.
+std::vector<SimdBody> runnable_bodies() {
+  std::vector<SimdBody> bodies;
+  for (const SimdBody body :
+       {SimdBody::kBaseline, SimdBody::kAvx2, SimdBody::kAvx512}) {
+    if (simd_body_runs(body)) bodies.push_back(body);
+  }
+  return bodies;
+}
+
+// The scalar stream the lanes must reproduce: generator `stream` of the
+// split() family of `seed`, as RngCheckpoints defines it.
+Rng split_stream(std::uint64_t seed, std::size_t stream) {
+  Rng base(seed);
+  Rng out = base.split();
+  for (std::size_t s = 0; s < stream; ++s) out = base.split();
+  return out;
+}
+
+TEST(RngLanes, EveryBodyMatchesScalarStream) {
+  EXPECT_TRUE(simd_body_runs(SimdBody::kBaseline));
+  EXPECT_TRUE(simd_body_runs(host_simd_body()));
+  constexpr std::size_t kStride = RngCheckpoints::kStride;
+  constexpr std::size_t kRound = UniformWindow::kRound;
+  for (const SimdBody body : runnable_bodies()) {
+    std::string label = "body ";
+    label += std::to_string(static_cast<int>(body));
+    // uniform_lanes from arbitrary states: lane i is the scalar stream
+    // started at states[i], and next() >> 11 survives the conversion.
+    Rng walker(0xfeedULL);
+    Rng::State starts[kUniformLanes];
+    std::vector<Rng> scalar;
+    for (std::size_t i = 0; i < kUniformLanes; ++i) {
+      walker.discard(37 * i + 5);
+      starts[i] = walker.state();
+      scalar.push_back(walker);
+    }
+    std::vector<double> lanes(kUniformLanes * 24);
+    uniform_lanes(body, starts, 24, lanes.data());
+    for (std::size_t i = 0; i < kUniformLanes; ++i) {
+      for (std::size_t t = 0; t < 24; ++t) {
+        const std::uint64_t bits = scalar[i].next() >> 11;
+        EXPECT_EQ(lanes[i * 24 + t], static_cast<double>(bits) * 0x1.0p-53)
+            << label << " lane " << i << " step " << t;
+      }
+    }
+    EXPECT_THROW(uniform_lanes(body, starts, 12, lanes.data()),
+                 std::invalid_argument);
+
+    // Windows over whole streams: single draws, then column reads whose
+    // shapes straddle checkpoint (every kStride draws) and round (every
+    // kRound draws) boundaries.
+    for (const std::uint64_t seed : {1ull, 99ull, 2024ull}) {
+      const RngCheckpoints table(seed, 8);
+      for (const std::size_t stream : {0u, 3u, 7u}) {
+        UniformWindow window(&table, stream, body);
+        Rng rng = split_stream(seed, stream);
+        const std::string at = label + " seed " + std::to_string(seed) +
+                               " stream " + std::to_string(stream);
+        for (std::size_t k = 0; k < kStride + 3; ++k) {
+          ASSERT_EQ(window.next(), rng.uniform()) << at << " draw " << k;
+        }
+        std::vector<double> rows(kRound + 64);
+        while (rows.size() > 30) {
+          const std::size_t cols = 11;
+          const std::size_t n = rows.size() / cols / 2;
+          std::vector<double*> dst(cols);
+          for (std::size_t c = 0; c < cols; ++c) dst[c] = rows.data() + c * n;
+          window.take_columns<false>(n, cols, dst.data());
+          for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t c = 0; c < cols; ++c) {
+              ASSERT_EQ(dst[c][r], rng.uniform()) << at;
+            }
+          }
+          rows.resize(n * cols);
+        }
+        EXPECT_EQ(window.next(), rng.uniform()) << at;
+      }
+    }
+  }
+}
+
+TEST(UniformWindow, ZeroRejectedAcrossRefill) {
+  // A uniform() of exactly 0.0 has probability 2^-53, so the test plants
+  // them: at the last slot of round 0 — the slot before a refill — inside
+  // a read that crosses into round 1, and in the middle of round 1 under
+  // a block read. The consumed sequence must be the scalar loops': a
+  // nonzero read redraws a 0.0 (`do u = uniform(); while (u == 0.0)`), a
+  // plain read keeps it.
+  constexpr std::size_t kRound = UniformWindow::kRound;
+  for (const SimdBody body : runnable_bodies()) {
+    std::string label = "body ";
+    label += std::to_string(static_cast<int>(body));
+    const RngCheckpoints table(7, 2);
+    UniformWindow window(&table, 1, body);
+    Rng rng = split_stream(7, 1);
+    std::vector<double> raw(3 * kRound);
+    for (double& u : raw) u = rng.uniform();
+
+    double* round0 = UniformWindowProbe::refill(window);
+    round0[100] = raw[100] = 0.0;
+    round0[kRound - 1] = raw[kRound - 1] = 0.0;
+    std::size_t pos = 0;
+    const auto expect_read = [&](bool nonzero, std::size_t rows,
+                                 std::size_t cols) {
+      std::vector<double> out(rows * cols);
+      std::vector<double*> dst(cols);
+      for (std::size_t c = 0; c < cols; ++c) dst[c] = out.data() + c * rows;
+      if (nonzero) {
+        window.take_columns<true>(rows, cols, dst.data());
+      } else {
+        window.take_columns<false>(rows, cols, dst.data());
+      }
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          double u = raw[pos++];
+          while (nonzero && u == 0.0) u = raw[pos++];
+          ASSERT_EQ(dst[c][r], u) << label << " row " << r << " col " << c
+                                  << " nonzero " << nonzero;
+        }
+      }
+    };
+    expect_read(false, kRound - 6, 1);  // keeps the 0.0 at slot 100
+    EXPECT_EQ(pos, kRound - 6);
+    expect_read(true, 2, 5);  // rejects slot kRound - 1, refills, reads on
+    EXPECT_EQ(pos, kRound + 5);
+    double* round1 = UniformWindowProbe::slots(window);
+    round1[kRound / 2] = raw[kRound + kRound / 2] = 0.0;
+    while (pos < kRound + kRound / 2 + 400) expect_read(true, 30, 11);
+    expect_read(false, 7, 3);
+    EXPECT_EQ(window.next(), raw[pos]) << label;
+  }
+}
+
+TEST(RngCheckpoints, ConcurrentReadersMatchSerialFill) {
+  // Readers on four threads grow the table past each other, out of order;
+  // every state they read is the scalar stream's at that draw.
+  constexpr std::size_t kStride = RngCheckpoints::kStride;
+  const RngCheckpoints table(31, 4);
+  EXPECT_EQ(table.size(), 0u);  // nothing is computed before a read
+  std::vector<std::vector<Rng::State>> expected(4);
+  for (std::size_t stream = 0; stream < 4; ++stream) {
+    Rng rng = split_stream(31, stream);
+    for (std::size_t c = 0; c < 40; ++c) {
+      expected[stream].push_back(rng.state());
+      rng.discard(kStride);
+    }
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (std::size_t k = 0; k < 40; ++k) {
+        const std::size_t stream = (t + k) % 4;
+        const std::size_t first = (k * 7 + t * 3) % 32;
+        Rng::State got[8];
+        table.states(stream, first, 8, got);
+        for (std::size_t i = 0; i < 8; ++i) {
+          if (got[i] != expected[stream][first + i]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(table.size(), 4u * 40u);
+  EXPECT_THROW(table.states(4, 0, 1, nullptr), std::out_of_range);
 }
 
 TEST(Strings, SplitPreservesEmptyFields) {

@@ -26,12 +26,13 @@ int main(int argc, char** argv) {
   Rng rng(1);
 
   // The paper loads one link of the path (the measured link); the rest of
-  // the path stays lightly utilized.
-  const double idle_util = 0.05;
-  auto sample_path = [&](double bottleneck_util) {
-    double total = model.sample_latency(bottleneck_util, rng);
+  // the path stays lightly utilized. No elephant trains: bursty
+  // utilization 0 on every hop.
+  const PreparedHop idle = model.prepare_hop(0.05, 0.0);
+  auto sample_path = [&](const PreparedHop& bottleneck) {
+    double total = model.sample_prepared(bottleneck, rng);
     for (int h = 1; h < hops; ++h) {
-      total += model.sample_latency(idle_util, rng);
+      total += model.sample_prepared(idle, rng);
     }
     return total;
   };
@@ -39,9 +40,9 @@ int main(int argc, char** argv) {
   Table table({"utilization_%", "mean_ms", "p50_ms", "p95_ms", "p99_ms"});
   table.set_precision(3);
   for (int pct = 0; pct <= 100; pct += 5) {
-    const double util = pct / 100.0;
+    const PreparedHop bottleneck = model.prepare_hop(pct / 100.0, 0.0);
     PercentileEstimator samples;
-    for (int i = 0; i < 20000; ++i) samples.add(sample_path(util));
+    for (int i = 0; i < 20000; ++i) samples.add(sample_path(bottleneck));
     const LatencyStats stats = summarize(samples);
     table.add_row({static_cast<long long>(pct), to_ms(stats.mean),
                    to_ms(stats.p50), to_ms(stats.p95), to_ms(stats.p99)});
@@ -49,10 +50,11 @@ int main(int argc, char** argv) {
   table.print(std::cout, fmt);
 
   // Pin the two calibration anchors the paper quotes.
+  const PreparedHop saturated = model.prepare_hop(1.0, 0.0);
   PercentileEstimator low, high;
   for (int i = 0; i < 20000; ++i) {
-    low.add(sample_path(idle_util));
-    high.add(sample_path(1.0));
+    low.add(sample_path(idle));
+    high.add(sample_path(saturated));
   }
   std::printf("\nmeasured anchors: low-util mean %.0f us (paper 139 us), "
               "saturated mean %.2f ms (paper 11.981 ms)\n",

@@ -47,8 +47,9 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout, fmt);
 
-  RubikPlusPolicy rubik_plus(&model);
-  EpronsServerPolicy eprons(&model);
+  StatisticalPolicy rubik_plus(
+      &model, {.average_vp = false, .edf = false, .use_network_slack = true});
+  StatisticalPolicy eprons(&model);
   const Freq f2 = rubik_plus.select_frequency(0.0, view, 0.0);
   const Freq fnew = eprons.select_frequency(0.0, view, 0.0);
   std::printf("\nmax-VP frequency f2    = %.1f GHz (Rubik+ rule)\n", f2);

@@ -95,7 +95,7 @@ void BM_ArrivalDecision(benchmark::State& state) {
   // An arrival-instant EPRONS-Server decision (head partly served) on a
   // warm residual chain cache: offsets and CDF lookups, no convolution.
   const ServiceModel& model = shared_model();
-  EpronsServerPolicy policy(&model);
+  StatisticalPolicy policy(&model);
   const Work done = model.work().mean() / 2.0;
   const std::vector<QueuedRequest> queue =
       staggered_queue(static_cast<std::size_t>(state.range(0)));
@@ -111,7 +111,7 @@ void BM_FrequencyDecision(benchmark::State& state) {
   // The <30 us claim: selecting the frequency by binary search on the
   // average VP, with equivalent distributions already available.
   const ServiceModel& model = shared_model();
-  EpronsServerPolicy policy(&model);
+  StatisticalPolicy policy(&model);
   const auto depth = static_cast<std::size_t>(state.range(0));
   model.fresh_convolution(depth);
   const std::vector<QueuedRequest> queue = staggered_queue(depth);
@@ -125,7 +125,8 @@ BENCHMARK(BM_FrequencyDecision)->Arg(1)->Arg(4)->Arg(8);
 
 void BM_RubikDecision(benchmark::State& state) {
   const ServiceModel& model = shared_model();
-  RubikPolicy policy(&model);
+  StatisticalPolicy policy(
+      &model, {.average_vp = false, .edf = false, .use_network_slack = false});
   const auto depth = static_cast<std::size_t>(state.range(0));
   model.fresh_convolution(depth);
   std::vector<QueuedRequest> queue(depth);

@@ -22,17 +22,6 @@ inline std::uint64_t fnv1a(std::uint64_t hash, double value) {
 
 }  // namespace
 
-LinkUtilization ConsolidationResult::offered_load(const Graph& graph,
-                                                  const FlowSet& flows) const {
-  LinkUtilization load(&graph);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (i >= flow_paths.size() || flow_paths[i].size() < 2) continue;
-    load.add_path_load(flow_paths[i], flows[i].demand,
-                       flows[i].cls == FlowClass::LatencyTolerant);
-  }
-  return load;
-}
-
 void finalize_result(const Graph& graph, const ConsolidationConfig& config,
                      ConsolidationResult& result) {
   result.active_switches = 0;

@@ -14,7 +14,6 @@
 
 #include "flow/demand_delta.h"
 #include "flow/flow.h"
-#include "net/link_utilization.h"
 #include "power/switch_power.h"
 #include "topo/fattree.h"
 #include "topo/topology.h"
@@ -99,11 +98,6 @@ struct ConsolidationResult {
   /// path of consolidate_incremental — false for cold packs, including a
   /// warm call that fell back to a full re-pack (see WarmStartHint).
   bool warm_started = false;
-
-  /// Builds per-link offered load from the *unscaled* flow demands routed
-  /// on the chosen paths (K reserves capacity; actual traffic is 1x).
-  LinkUtilization offered_load(const Graph& graph,
-                               const FlowSet& flows) const;
 };
 
 /// Warm-start hint for consolidate_incremental: the previous epoch's flow

@@ -43,6 +43,7 @@ Partition partition_flows(const FatTree& ft, const FlowSet& flows) {
 
 FlowSet subset(const FlowSet& flows, const std::vector<std::size_t>& indices) {
   FlowSet sub;
+  sub.reserve(indices.size());
   for (std::size_t i : indices) {
     const Flow& f = flows[i];
     sub.add(f.src_host, f.dst_host, f.demand, f.cls);

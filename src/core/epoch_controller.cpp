@@ -106,7 +106,8 @@ EpochReport EpochController::run_epoch(const FlowSet& true_background,
   const std::vector<Flow>& flows = true_background.flows();
   const std::size_t per_flow = static_cast<std::size_t>(
       std::max(0, config_.samples_per_epoch));
-  const NormalDraws draws = rng.draw_normals(flows.size() * per_flow);
+  rng.draw_normals(flows.size() * per_flow, &draws_);
+  const NormalDraws& draws = draws_;
   std::vector<WindowedPercentile*> windows(flows.size(), nullptr);
   if (per_flow > 0) {
     for (std::size_t i = 0; i < flows.size(); ++i) {

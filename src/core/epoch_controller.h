@@ -16,6 +16,7 @@
 #include "core/joint_optimizer.h"
 #include "flow/demand_predictor.h"
 #include "obs/jsonl.h"
+#include "util/rng.h"
 
 namespace eprons {
 
@@ -160,6 +161,8 @@ class EpochController {
   const ServerPowerModel* power_model_;
   EpochControllerConfig config_;
   DemandPredictor predictor_;
+  /// run_epoch's measurement draws; kept so each epoch reuses the buffer.
+  NormalDraws draws_;
   TransitionController transitions_;
   /// Persistent so its thread pool survives across epochs.
   std::unique_ptr<JointOptimizer> optimizer_;

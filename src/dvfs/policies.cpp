@@ -28,46 +28,15 @@ Freq MaxFreqPolicy::select_frequency(SimTime, std::span<const QueuedRequest>,
   return model_->config().f_max;
 }
 
-RubikPolicy::RubikPolicy(const ServiceModel* model,
-                         StatisticalPolicyConfig config,
-                         bool use_network_slack)
+StatisticalPolicy::StatisticalPolicy(const ServiceModel* model,
+                                     StatisticalPolicyConfig config)
     : DvfsPolicy(model),
       config_(config),
-      use_network_slack_(use_network_slack),
       one_request_(model->one_request_thresholds(config.target_vp)) {}
 
-Freq RubikPolicy::select_frequency(SimTime now,
-                                   std::span<const QueuedRequest> queue,
-                                   Work in_service_done) {
-  if (queue.size() == 1 && in_service_done <= 0.0) {
-    return one_request_frequency(model_->frequency_grid(), one_request_,
-                                 deadline_of(queue[0]) - now);
-  }
-  const EquivalentQueue equivalents(model_, queue.size(), in_service_done);
-  // Feasible(fi): every equivalent request meets the per-request miss
-  // budget at grid frequency fi.
-  auto feasible = [&](std::size_t fi) {
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      const double vp = equivalents.violation_probability_at(
-          i, now, deadline_of(queue[i]), fi);
-      if (vp > config_.target_vp) return false;
-    }
-    return true;
-  };
-  return lowest_feasible_frequency(model_->frequency_grid(), feasible);
-}
-
-EpronsServerPolicy::EpronsServerPolicy(const ServiceModel* model,
-                                       StatisticalPolicyConfig config,
-                                       EpronsFeatures features)
-    : DvfsPolicy(model),
-      config_(config),
-      features_(features),
-      one_request_(model->one_request_thresholds(config.target_vp)) {}
-
-double EpronsServerPolicy::average_vp(SimTime now,
-                                      std::span<const QueuedRequest> queue,
-                                      Work in_service_done, Freq f) const {
+double StatisticalPolicy::average_vp(SimTime now,
+                                     std::span<const QueuedRequest> queue,
+                                     Work in_service_done, Freq f) const {
   const EquivalentQueue equivalents(model_, queue.size(), in_service_done);
   double total = 0.0;
   for (std::size_t i = 0; i < queue.size(); ++i) {
@@ -77,9 +46,9 @@ double EpronsServerPolicy::average_vp(SimTime now,
   return total / static_cast<double>(queue.size());
 }
 
-Freq EpronsServerPolicy::select_frequency(SimTime now,
-                                          std::span<const QueuedRequest> queue,
-                                          Work in_service_done) {
+Freq StatisticalPolicy::select_frequency(SimTime now,
+                                         std::span<const QueuedRequest> queue,
+                                         Work in_service_done) {
   if (queue.size() == 1 && in_service_done <= 0.0) {
     return one_request_frequency(model_->frequency_grid(), one_request_,
                                  deadline_of(queue[0]) - now);
@@ -87,10 +56,10 @@ Freq EpronsServerPolicy::select_frequency(SimTime now,
   const EquivalentQueue equivalents(model_, queue.size(), in_service_done);
   // Feasible(fi): the *average* VP across the queue meets the SLA miss
   // budget at grid frequency fi (section III-A); individual requests may
-  // exceed it. The `average_vp=false` ablation reverts to Rubik's max-VP
-  // rule.
+  // exceed it. Rubik's max-VP rule (average_vp off) asks every request to
+  // meet it.
   auto feasible = [&](std::size_t fi) {
-    if (features_.average_vp) {
+    if (config_.average_vp) {
       double total = 0.0;
       for (std::size_t i = 0; i < queue.size(); ++i) {
         total += equivalents.violation_probability_at(
@@ -163,30 +132,32 @@ Freq TimeTraderPolicy::select_frequency(SimTime now,
 std::unique_ptr<DvfsPolicy> make_policy(const std::string& name,
                                         const ServiceModel* model,
                                         double target_vp) {
-  StatisticalPolicyConfig stat;
-  stat.target_vp = target_vp;
   if (name == "max") return std::make_unique<MaxFreqPolicy>(model);
-  if (name == "rubik") return std::make_unique<RubikPolicy>(model, stat);
-  if (name == "rubik+") return std::make_unique<RubikPlusPolicy>(model, stat);
-  if (name == "eprons") {
-    return std::make_unique<EpronsServerPolicy>(model, stat);
-  }
-  if (name == "eprons-noedf") {
-    EpronsFeatures f;
-    f.edf = false;
-    return std::make_unique<EpronsServerPolicy>(model, stat, f);
-  }
-  if (name == "eprons-noslack") {
-    EpronsFeatures f;
-    f.use_network_slack = false;
-    return std::make_unique<EpronsServerPolicy>(model, stat, f);
-  }
-  if (name == "eprons-maxvp") {
-    EpronsFeatures f;
-    f.average_vp = false;
-    return std::make_unique<EpronsServerPolicy>(model, stat, f);
-  }
   if (name == "timetrader") return std::make_unique<TimeTraderPolicy>(model);
+  // The statistical names and their switches, as in the header's table.
+  struct Setting {
+    const char* name;
+    bool average_vp;
+    bool edf;
+    bool use_network_slack;
+  };
+  static constexpr Setting kSettings[] = {
+      {"rubik", false, false, false},
+      {"rubik+", false, false, true},
+      {"eprons", true, true, true},
+      {"eprons-noedf", true, false, true},
+      {"eprons-noslack", true, true, false},
+      {"eprons-maxvp", false, true, true},
+  };
+  for (const Setting& setting : kSettings) {
+    if (name != setting.name) continue;
+    StatisticalPolicyConfig config;
+    config.target_vp = target_vp;
+    config.average_vp = setting.average_vp;
+    config.edf = setting.edf;
+    config.use_network_slack = setting.use_network_slack;
+    return std::make_unique<StatisticalPolicy>(model, config);
+  }
   throw std::invalid_argument("unknown DVFS policy: " + name);
 }
 

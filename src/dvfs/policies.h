@@ -1,28 +1,39 @@
 // The DVFS policies evaluated in the paper (section V-B2, Fig. 12):
 //
 //   * MaxFreqPolicy      — "no power management": always f_max.
-//   * RubikPolicy        — Rubik [10]: per-request statistical model; runs
-//     at the *maximum* over queued requests of the minimum frequency that
-//     keeps each request's VP within the miss budget. Server budget only.
-//   * RubikPlusPolicy    — the paper's network-aware Rubik variant
-//     ("Rubik+"): identical selection rule but deadlines include the
-//     measured per-request network slack.
-//   * EpronsServerPolicy — the paper's contribution: minimum frequency whose
-//     *average* VP across all queued requests meets the miss budget, with
-//     EDF queue ordering. Uses network slack.
+//   * StatisticalPolicy  — the per-request statistical model of section
+//     III-B in the three variants the paper compares. They differ along
+//     three switches of StatisticalPolicyConfig:
+//       average_vp         the feasibility rule: the *average* VP over the
+//                          queued requests meets the miss budget (EPRONS),
+//                          or every request's VP does (max-VP, Rubik's);
+//       edf                earliest-deadline-first order of the waiting
+//                          requests (EPRONS), or FIFO;
+//       use_network_slack  deadlines include the measured per-request
+//                          network slack (Rubik+, EPRONS), or the server
+//                          budget only (Rubik).
+//     make_policy's names are settings of these switches:
+//
+//       name              average_vp  edf  use_network_slack
+//       "rubik"           no          no   no    Rubik [10]
+//       "rubik+"          no          no   yes   the paper's Rubik+
+//       "eprons"          yes         yes  yes   EPRONS-Server
+//       "eprons-noedf"    yes         no   yes   ablation
+//       "eprons-noslack"  yes         yes  no    ablation
+//       "eprons-maxvp"    no          yes  yes   ablation
 //   * TimeTraderPolicy   — TimeTrader [7]: coarse feedback; every 5 s,
 //     compares the observed 95th-percentile latency with the constraint and
 //     steps the frequency up or down. Responds sluggishly to bursts —
 //     exactly the behavior Fig. 12(a) penalizes.
 //
-// The statistical policies (Rubik, Rubik+, EPRONS-Server) decide in one of
-// two ways, with the same result. For one fresh request — nothing in
-// service yet, nothing waiting — both VP rules reduce to VP <= target, so
-// the frequency is the first whose one-request threshold
-// (ServiceModel::one_request_thresholds, built when the policy is made)
-// the deadline margin reaches. Every other queue runs the VP search of
-// section III-C (lowest_feasible_frequency), reading each VP from the
-// model's chain caches through EquivalentQueue::violation_probability_at.
+// A StatisticalPolicy decides in one of two ways, with the same result.
+// For one fresh request — nothing in service yet, nothing waiting — both
+// VP rules reduce to VP <= target, so the frequency is the first whose
+// one-request threshold (ServiceModel::one_request_thresholds, built when
+// the policy is made) the deadline margin reaches. Every other queue runs
+// the VP search of section III-C (lowest_feasible_frequency), reading each
+// VP from the model's chain caches through
+// EquivalentQueue::violation_probability_at.
 #pragma once
 
 #include <memory>
@@ -46,12 +57,7 @@ struct StatisticalPolicyConfig {
   /// A negative or NaN value makes the policy's constructor throw
   /// std::invalid_argument.
   double target_vp = 0.05;
-};
-
-/// Ablation switches for EPRONS-Server (bench_ablation_eprons decomposes
-/// the contribution of each mechanism). All true = the paper's policy.
-struct EpronsFeatures {
-  /// Average-VP frequency selection (false = max-VP, i.e. Rubik's rule).
+  /// Average-VP frequency selection (false = max-VP, Rubik's rule).
   bool average_vp = true;
   /// Earliest-deadline-first ordering of waiting requests.
   bool edf = true;
@@ -59,46 +65,22 @@ struct EpronsFeatures {
   bool use_network_slack = true;
 };
 
-class RubikPolicy : public DvfsPolicy {
+/// Rubik, Rubik+ and EPRONS-Server: one selection rule, three switches
+/// (see the table above). The defaults are EPRONS-Server.
+class StatisticalPolicy final : public DvfsPolicy {
  public:
-  RubikPolicy(const ServiceModel* model, StatisticalPolicyConfig config = {},
-              bool use_network_slack = false);
+  explicit StatisticalPolicy(const ServiceModel* model,
+                             StatisticalPolicyConfig config = {});
 
   Freq select_frequency(SimTime now, std::span<const QueuedRequest> queue,
                         Work in_service_done) override;
+  bool reorder_edf() const override { return config_.edf; }
+  /// "rubik" or "rubik+" for Rubik's rule in FIFO order, otherwise
+  /// "eprons-server".
   std::string name() const override {
-    return use_network_slack_ ? "rubik+" : "rubik";
+    if (config_.average_vp || config_.edf) return "eprons-server";
+    return config_.use_network_slack ? "rubik+" : "rubik";
   }
-
- protected:
-  SimTime deadline_of(const QueuedRequest& request) const {
-    return use_network_slack_ ? request.deadline_with_slack
-                              : request.deadline_server;
-  }
-
-  StatisticalPolicyConfig config_;
-  bool use_network_slack_;
-  const std::vector<SimTime>& one_request_;  // the model's, for target_vp
-};
-
-class RubikPlusPolicy final : public RubikPolicy {
- public:
-  explicit RubikPlusPolicy(const ServiceModel* model,
-                           StatisticalPolicyConfig config = {})
-      : RubikPolicy(model, config, /*use_network_slack=*/true) {}
-};
-
-class EpronsServerPolicy final : public DvfsPolicy {
- public:
-  explicit EpronsServerPolicy(const ServiceModel* model,
-                              StatisticalPolicyConfig config = {},
-                              EpronsFeatures features = {});
-
-  Freq select_frequency(SimTime now, std::span<const QueuedRequest> queue,
-                        Work in_service_done) override;
-  bool reorder_edf() const override { return features_.edf; }
-  std::string name() const override { return "eprons-server"; }
-  const EpronsFeatures& features() const { return features_; }
 
   /// Average VP across the queue at a given frequency (exposed for tests
   /// and the Fig. 4/5 bench).
@@ -107,13 +89,12 @@ class EpronsServerPolicy final : public DvfsPolicy {
 
  private:
   SimTime deadline_of(const QueuedRequest& request) const {
-    return features_.use_network_slack ? request.deadline_with_slack
-                                       : request.deadline_server;
+    return config_.use_network_slack ? request.deadline_with_slack
+                                     : request.deadline_server;
   }
 
   StatisticalPolicyConfig config_;
-  EpronsFeatures features_;
-  const std::vector<SimTime>& one_request_;  // as in RubikPolicy
+  const std::vector<SimTime>& one_request_;  // the model's, for target_vp
 };
 
 struct TimeTraderConfig {
@@ -182,11 +163,11 @@ Freq lowest_feasible_frequency(const std::vector<Freq>& grid,
   return grid[lo];
 }
 
-/// Factory by name: "max" | "rubik" | "rubik+" | "eprons" | "timetrader",
-/// plus the ablation variants "eprons-noedf" (no EDF reordering),
-/// "eprons-noslack" (server budget only) and "eprons-maxvp" (max-VP rule,
-/// keeping EDF + slack). Throws std::invalid_argument for unknown names and,
-/// for the statistical policies, for a negative or NaN target_vp.
+/// Factory by name: "max" | "timetrader" | one of the six statistical names
+/// in the table above ("rubik", "rubik+", "eprons" and the ablations
+/// "eprons-noedf", "eprons-noslack", "eprons-maxvp"). Throws
+/// std::invalid_argument for unknown names and, for the statistical
+/// policies, for a negative or NaN target_vp.
 std::unique_ptr<DvfsPolicy> make_policy(const std::string& name,
                                         const ServiceModel* model,
                                         double target_vp = 0.05);

@@ -44,6 +44,9 @@ struct Flow {
 class FlowSet {
  public:
   FlowId add(int src_host, int dst_host, Bandwidth demand, FlowClass cls);
+  /// Makes room for `count` flows, so that many add() calls do not
+  /// reallocate.
+  void reserve(std::size_t count) { flows_.reserve(count); }
 
   std::size_t size() const { return flows_.size(); }
   bool empty() const { return flows_.empty(); }

@@ -63,36 +63,8 @@ SimTime LinkLatencyModel::mean_latency(double utilization,
          bursty_utilization * config_.burst_len_us / 2.0;
 }
 
-SimTime LinkLatencyModel::sample_latency(double utilization, double bursty_utilization,
-                                         Rng& rng) const {
-  SimTime latency = sample_latency(utilization, rng);
-  bursty_utilization = std::clamp(bursty_utilization, 0.0, 1.0);
-  if (bursty_utilization > 0.0 && rng.bernoulli(bursty_utilization)) {
-    // Collided with an elephant train: wait out its residual.
-    latency += rng.uniform(0.0, config_.burst_len_us);
-  }
-  return latency;
-}
-
-SimTime LinkLatencyModel::sample_latency(double utilization, Rng& rng) const {
-  utilization = std::clamp(utilization, 0.0, 1.0);
-  const SimTime mean = sojourn_mean(utilization);
-  const SimTime cap = packet_service_time() * config_.buffer_packets;
-  SimTime queueing = rng.exponential(mean);
-  const double t = burst_intensity(utilization);
-  const double p_burst = config_.burst_coeff * t * t;
-  if (p_burst > 0.0 && rng.bernoulli(p_burst)) {
-    // Landed behind a standing burst of background packets.
-    queueing += rng.uniform(0.0, t * cap);
-  }
-  return config_.base_latency_us + std::min(queueing, cap);
-}
-
 PreparedHop LinkLatencyModel::prepare_hop(double utilization,
                                           double bursty_utilization) const {
-  // Mirror sample_latency(utilization, rng) term by term: same clamps,
-  // same expression order, so the precomputed doubles are the very values
-  // the per-sample path would recompute.
   utilization = std::clamp(utilization, 0.0, 1.0);
   PreparedHop hop;
   hop.sojourn_mean = sojourn_mean(utilization);

@@ -14,6 +14,12 @@
 // exponential), truncated at the buffer cap — giving realistic tails for
 // the 95th/99th percentile figures.
 //
+// A hop is drawn in two steps: prepare_hop derives the hop's sampling
+// constants (PreparedHop) from its utilization and bursty utilization, and
+// sample_prepared draws one latency from them. That pair is the one
+// per-hop draw: the DES, PathLatencyEstimator::sample_latency and the
+// Fig. 1 bench all run it.
+//
 // The per-hop antithetic arithmetic has one definition,
 // LinkLatencyModel::combine_hop_block: a branch-free lane loop that the
 // slack estimator's fast sampler runs hop by hop over a block of pre-drawn
@@ -36,12 +42,9 @@
 namespace eprons {
 
 /// Per-hop sampling constants, precomputed from a hop's (utilization,
-/// bursty utilization) pair. sample_latency() derives all five values
-/// afresh on every draw; a PreparedHop hoists that work out of the
-/// sampling loop so the slack estimator's Monte-Carlo pays it once per
-/// path instead of once per sample. The values are computed by the exact
-/// expressions sample_latency() uses, so drawing from a PreparedHop is
-/// bit-identical to the per-sample path (see LinkLatencyModel::prepare_hop).
+/// bursty utilization) pair by LinkLatencyModel::prepare_hop, so a caller
+/// that draws a hop many times (the DES per request path, the slack
+/// estimator's Monte-Carlo) derives them once.
 struct PreparedHop {
   /// Mean M/M/1 sojourn at this hop's utilization, us (exponential mean).
   SimTime sojourn_mean = 0.0;
@@ -100,22 +103,17 @@ class LinkLatencyModel {
   /// Mean per-hop latency at the given utilization (clamped to [0, ~1)).
   SimTime mean_latency(double utilization) const;
 
-  /// Draws one packet's per-hop latency: base + Exp(mean sojourn), capped
-  /// at the full-buffer delay.
-  SimTime sample_latency(double utilization, Rng& rng) const;
-
-  /// As above, with an elephant-collision term: `bursty_utilization` is
-  /// the duty cycle of line-rate background trains on this link.
-  SimTime sample_latency(double utilization, double bursty_utilization,
-                         Rng& rng) const;
-
-  /// Precomputes the sampling constants of one hop. Contract:
-  /// sample_prepared(prepare_hop(u, b), rng) consumes the same RNG draws
-  /// and returns the same bits as sample_latency(u, b, rng).
+  /// Precomputes the sampling constants of one hop: utilization is
+  /// clamped to [0, 1]; `bursty_utilization`, the duty cycle of line-rate
+  /// background trains on the link, is clamped to [0, 1] as the collision
+  /// probability.
   PreparedHop prepare_hop(double utilization, double bursty_utilization) const;
 
-  /// Draws one per-hop latency from precomputed constants. Inline: this is
-  /// the innermost statement of the planner's Monte-Carlo.
+  /// Draws one packet's per-hop latency from a prepared hop: base +
+  /// min(Exp(mean sojourn) + standing-burst delay, full-buffer delay) +
+  /// elephant-collision residual. The burst uniform is drawn only when
+  /// p_burst > 0 and the collision uniform only when bursty > 0. Inline:
+  /// the DES draws every request path hop by hop through it.
   SimTime sample_prepared(const PreparedHop& hop, Rng& rng) const {
     SimTime queueing = rng.exponential(hop.sojourn_mean);
     if (hop.p_burst > 0.0 && rng.bernoulli(hop.p_burst)) {

@@ -14,8 +14,8 @@ std::size_t LinkUtilization::slot(LinkId link, bool forward) const {
   return static_cast<std::size_t>(link) * 2 + (forward ? 0 : 1);
 }
 
-void LinkUtilization::accumulate(const Path& path, Bandwidth delta,
-                                 bool bursty) {
+void LinkUtilization::add_path_load(const Path& path, Bandwidth rate,
+                                    bool bursty) {
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const NodeId from = path[i];
     const NodeId to = path[i + 1];
@@ -25,22 +25,12 @@ void LinkUtilization::accumulate(const Path& path, Bandwidth delta,
     }
     const bool forward = graph_->link(lid).a == from;
     Bandwidth& cell = load_[slot(lid, forward)];
-    cell = std::max(0.0, cell + delta);
+    cell = std::max(0.0, cell + rate);
     if (bursty) {
       Bandwidth& bcell = bursty_load_[slot(lid, forward)];
-      bcell = std::max(0.0, bcell + delta);
+      bcell = std::max(0.0, bcell + rate);
     }
   }
-}
-
-void LinkUtilization::add_path_load(const Path& path, Bandwidth rate,
-                                    bool bursty) {
-  accumulate(path, rate, bursty);
-}
-
-void LinkUtilization::remove_path_load(const Path& path, Bandwidth rate,
-                                       bool bursty) {
-  accumulate(path, -rate, bursty);
 }
 
 void LinkUtilization::clear() {
@@ -55,15 +45,6 @@ Bandwidth LinkUtilization::directed_load(NodeId from, NodeId to) const {
   return load_[slot(lid, forward)];
 }
 
-double LinkUtilization::directed_utilization(NodeId from, NodeId to) const {
-  return directed_utilizations(from, to).utilization;
-}
-
-double LinkUtilization::directed_bursty_utilization(NodeId from,
-                                                    NodeId to) const {
-  return directed_utilizations(from, to).bursty;
-}
-
 LinkUtilization::DirectedUtilization LinkUtilization::directed_utilizations(
     NodeId from, NodeId to) const {
   const LinkId lid = graph_->find_link(from, to);
@@ -73,14 +54,6 @@ LinkUtilization::DirectedUtilization LinkUtilization::directed_utilizations(
   return {load_[at] / capacity, bursty_load_[at] / capacity};
 }
 
-double LinkUtilization::max_path_utilization(const Path& path) const {
-  double worst = 0.0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    worst = std::max(worst, directed_utilization(path[i], path[i + 1]));
-  }
-  return worst;
-}
-
 double LinkUtilization::max_utilization() const {
   double worst = 0.0;
   for (const Link& link : graph_->links()) {
@@ -88,14 +61,6 @@ double LinkUtilization::max_utilization() const {
     worst = std::max(worst, load_[slot(link.id, false)] / link.capacity);
   }
   return worst;
-}
-
-int LinkUtilization::active_directed_links() const {
-  int active = 0;
-  for (const Bandwidth load : load_) {
-    if (load > 0.0) ++active;
-  }
-  return active;
 }
 
 }  // namespace eprons

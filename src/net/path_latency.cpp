@@ -9,9 +9,9 @@ PathLatencyEstimator::PathLatencyEstimator(const LinkUtilization* utilization,
 SimTime PathLatencyEstimator::mean_latency(const Path& path) const {
   SimTime total = 0.0;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    total += model_.mean_latency(
-        utilization_->directed_utilization(path[i], path[i + 1]),
-        utilization_->directed_bursty_utilization(path[i], path[i + 1]));
+    const LinkUtilization::DirectedUtilization hop =
+        utilization_->directed_utilizations(path[i], path[i + 1]);
+    total += model_.mean_latency(hop.utilization, hop.bursty);
   }
   return total;
 }
@@ -20,10 +20,10 @@ SimTime PathLatencyEstimator::sample_latency(const Path& path,
                                              Rng& rng) const {
   SimTime total = 0.0;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    total += model_.sample_latency(
-        utilization_->directed_utilization(path[i], path[i + 1]),
-        utilization_->directed_bursty_utilization(path[i], path[i + 1]),
-        rng);
+    const LinkUtilization::DirectedUtilization hop =
+        utilization_->directed_utilizations(path[i], path[i + 1]);
+    total += model_.sample_prepared(
+        model_.prepare_hop(hop.utilization, hop.bursty), rng);
   }
   return total;
 }

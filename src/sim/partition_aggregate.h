@@ -163,8 +163,8 @@ class PartitionAggregate {
     Path planned;   // the adopted plan's path
     Path detour;    // fault reroute; empty = none
     bool down = false;
-    // Sampling constants of the effective path under the offered load
-    // (sample_prepared draws the bits sample_latency would).
+    // Sampling constants of the effective path under the offered load,
+    // prepared on every route refresh and drawn by sample_prepared.
     std::vector<PreparedHop> hops;
     const Path& path() const { return detour.empty() ? planned : detour; }
   };

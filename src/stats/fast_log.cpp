@@ -69,13 +69,6 @@ double fast_log(double x) { return log_impl(x); }
 // clone runs at load time, before the TSan runtime is initialized, and
 // the instrumented resolver crashes the process (GCC 12).
 #if !defined(__SANITIZE_THREAD__)
-[[gnu::target_clones("avx2", "default")]]
-#endif
-void fast_log_block(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = log_impl(x[i]);
-}
-
-#if !defined(__SANITIZE_THREAD__)
 [[gnu::target_clones("avx512f", "avx2", "default")]]
 #endif
 void fast_log_block_antithetic(const double* x, double* lg_e, double* lg_o,

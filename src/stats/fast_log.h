@@ -30,15 +30,6 @@ namespace eprons {
 /// Natural log of a positive finite normal double; < 1 ulp error.
 double fast_log(double x);
 
-/// Elementwise fast_log over a block: out[i] = fast_log(x[i]). In-place
-/// (out == x) is allowed. The loop body is branchless, so the compiler
-/// vectorizes it even at the baseline x86-64 target (SSE2) — roughly
-/// halving the per-log cost versus the scalar call — and SIMD lanes
-/// execute the identical IEEE operation sequence, so every element is
-/// bit-identical to the scalar fast_log(x[i]) (asserted by the
-/// differential tests).
-void fast_log_block(const double* x, double* out, std::size_t n);
-
 /// Antithetic variant: lg_e[i] = fast_log(x[i]), lg_o[i] =
 /// fast_log(1.0 - x[i]) in a single vectorized pass (the subtraction is
 /// one exact IEEE op, so the results match the two-call spelling bit for

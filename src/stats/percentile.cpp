@@ -156,45 +156,4 @@ double WindowedPercentile::quantile(double p) const {
 
 void WindowedPercentile::clear() { window_.clear(); }
 
-void OnlineStats::add(double sample) {
-  if (count_ == 0) {
-    min_ = max_ = sample;
-  } else {
-    min_ = std::min(min_, sample);
-    max_ = std::max(max_, sample);
-  }
-  ++count_;
-  const double delta = sample - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (sample - mean_);
-}
-
-double OnlineStats::variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double OnlineStats::min() const { return count_ ? min_ : 0.0; }
-double OnlineStats::max() const { return count_ ? max_ : 0.0; }
-
-void OnlineStats::clear() {
-  count_ = 0;
-  mean_ = m2_ = min_ = max_ = 0.0;
-}
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(count_ + other.count_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ += delta * static_cast<double>(other.count_) / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-}
-
 }  // namespace eprons

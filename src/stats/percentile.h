@@ -70,26 +70,4 @@ class WindowedPercentile {
   std::deque<double> window_;
 };
 
-/// Welford online mean/variance plus min/max; cheap per-sample bookkeeping.
-class OnlineStats {
- public:
-  void add(double sample);
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;
-  double min() const;
-  double max() const;
-  void clear();
-
-  /// Merges another accumulator (parallel reduction friendly).
-  void merge(const OnlineStats& other);
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace eprons

@@ -109,9 +109,11 @@ double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
 
-NormalDraws Rng::draw_normals(std::size_t count) {
-  NormalDraws draws;
+void Rng::draw_normals(std::size_t count, NormalDraws* out) {
+  NormalDraws& draws = *out;
   draws.count_ = count;
+  draws.lead_cached_ = false;
+  draws.lead_ = 0.0;
   std::size_t fresh = count;
   if (count > 0 && has_cached_normal_) {
     draws.lead_cached_ = true;
@@ -136,7 +138,6 @@ NormalDraws Rng::draw_normals(std::size_t count) {
                0.0, 1.0, &cached_normal_);
     has_cached_normal_ = fresh % 2 == 1;
   }
-  return draws;
 }
 
 void NormalDraws::normal(std::size_t first, std::size_t count, double mean,

@@ -28,6 +28,8 @@ std::uint64_t splitmix64_next(std::uint64_t& state);
 /// function of the stored uniforms, so any thread may evaluate any range:
 /// variate i equals the i-th of those calls bit for bit (both go through
 /// one Box–Muller helper), including a variate the generator had cached.
+/// Each draw_normals overwrites the whole object and keeps the uniform
+/// buffer's capacity, so a caller that draws every epoch reuses one.
 class NormalDraws {
  public:
   std::size_t size() const { return count_; }
@@ -109,9 +111,9 @@ class Rng {
   /// Log-normal: exp(N(mu, sigma)).
   double lognormal(double mu, double sigma);
   /// Draws the uniforms of the next `count` normal() (or lognormal())
-  /// calls and leaves the generator as those calls would — its state words
-  /// and its cached variate — without evaluating them.
-  NormalDraws draw_normals(std::size_t count);
+  /// calls into `out` and leaves the generator as those calls would — its
+  /// state words and its cached variate — without evaluating them.
+  void draw_normals(std::size_t count, NormalDraws* out);
   /// Bounded Pareto on [lo, hi] with shape alpha.
   double bounded_pareto(double alpha, double lo, double hi);
   /// Bernoulli trial.

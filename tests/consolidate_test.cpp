@@ -10,6 +10,7 @@
 #include "consolidate/hierarchical_consolidator.h"
 #include "consolidate/milp_consolidator.h"
 #include "golden_digest.h"
+#include "sim/search_cluster.h"
 #include "topo/aggregation.h"
 #include "topo/path_catalog.h"
 #include "util/rng.h"
@@ -340,15 +341,22 @@ TEST(Differential, GreedyWithinBoundedFactorOfMilpDegraded) {
 }
 
 TEST(ConsolidationResult, OfferedLoadUsesUnscaledDemand) {
+  // The load the latency model sees (scenario_offered_load, which the
+  // planner and both DES drivers build) carries each flow's demand, not
+  // the capacity K reserved for it; a query flow carries its stream rate.
   const FatTree ft(4);
   const GreedyConsolidator greedy(&ft);
   FlowSet flows;
-  flows.add(0, 15, 100.0, FlowClass::LatencySensitive);
+  const FlowId query = flows.add(0, 15, 100.0, FlowClass::LatencySensitive);
   const auto config = fig2_config(3.0);  // reserve 300, carry 100
   const auto result = greedy.consolidate(flows, config);
   ASSERT_TRUE(result.feasible);
-  const LinkUtilization load = result.offered_load(ft.graph(), flows);
+  const LinkUtilization load =
+      scenario_offered_load(ft.graph(), result, flows, {}, {}, 0.0, 0.0);
   EXPECT_NEAR(load.max_utilization(), 0.1, 1e-9);
+  const LinkUtilization streamed = scenario_offered_load(
+      ft.graph(), result, flows, {query}, {}, 40.0, 0.0);
+  EXPECT_NEAR(streamed.max_utilization(), 0.04, 1e-9);
 }
 
 // Packer goldens: placement fingerprints of the greedy packer, flat and

@@ -128,6 +128,13 @@ TEST(EquivalentQueue, ThrowsOnEmptyOrOutOfRange) {
   EXPECT_THROW(q.at(2), std::out_of_range);
 }
 
+// Rubik's and Rubik+'s settings of the statistical policy (the defaults
+// are EPRONS-Server's).
+constexpr StatisticalPolicyConfig kRubik{
+    .average_vp = false, .edf = false, .use_network_slack = false};
+constexpr StatisticalPolicyConfig kRubikPlus{.average_vp = false,
+                                             .edf = false};
+
 QueuedRequest make_request(RequestId id, SimTime arrival, SimTime server_dl,
                            SimTime slack_dl) {
   QueuedRequest r;
@@ -149,7 +156,7 @@ TEST(Policies, MaxFreqAlwaysMax) {
 
 TEST(Policies, RubikMeetsPerRequestVp) {
   const ServiceModel model = test_model();
-  RubikPolicy policy(&model);
+  StatisticalPolicy policy(&model, kRubik);
   const QueuedRequest r = make_request(1, 0.0, ms(25.0), ms(27.0));
   const Freq f =
       policy.select_frequency(0.0, std::span<const QueuedRequest>(&r, 1), 0.0);
@@ -167,8 +174,8 @@ TEST(Policies, RubikMeetsPerRequestVp) {
 
 TEST(Policies, RubikIgnoresSlackRubikPlusUsesIt) {
   const ServiceModel model = test_model();
-  RubikPolicy rubik(&model);
-  RubikPlusPolicy rubik_plus(&model);
+  StatisticalPolicy rubik(&model, kRubik);
+  StatisticalPolicy rubik_plus(&model, kRubikPlus);
   // Tight server deadline, generous slack: Rubik must run faster.
   const QueuedRequest r = make_request(1, 0.0, ms(12.0), ms(20.0));
   const Freq f_rubik = rubik.select_frequency(
@@ -183,8 +190,8 @@ TEST(Policies, EpronsNeverExceedsRubikPlusFrequency) {
   // The paper's Fig. 4 claim: the average-VP frequency f_new is at most
   // the max-VP frequency f2. Property-checked over random queues.
   const ServiceModel model = test_model();
-  RubikPlusPolicy rubik_plus(&model);
-  EpronsServerPolicy eprons(&model);
+  StatisticalPolicy rubik_plus(&model, kRubikPlus);
+  StatisticalPolicy eprons(&model);
   Rng rng(77);
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<QueuedRequest> queue;
@@ -205,7 +212,7 @@ TEST(Policies, EpronsNeverExceedsRubikPlusFrequency) {
 
 TEST(Policies, EpronsMeetsAverageVpBudget) {
   const ServiceModel model = test_model();
-  EpronsServerPolicy eprons(&model);
+  StatisticalPolicy eprons(&model);
   std::vector<QueuedRequest> queue = {
       make_request(1, 0.0, ms(25.0), ms(27.0)),
       make_request(2, ms(1.0), ms(32.0), ms(36.0)),
@@ -225,7 +232,7 @@ TEST(Policies, EpronsAllowsIndividualViolationsAboveBudget) {
   // the chosen frequency may give the tight request VP > 5% as long as the
   // average holds.
   const ServiceModel model = test_model();
-  EpronsServerPolicy eprons(&model);
+  StatisticalPolicy eprons(&model);
   std::vector<QueuedRequest> queue = {
       make_request(1, 0.0, ms(14.0), ms(14.0)),   // tight
       make_request(2, 0.0, ms(60.0), ms(60.0)),   // very loose
@@ -237,7 +244,7 @@ TEST(Policies, EpronsAllowsIndividualViolationsAboveBudget) {
   const double avg = eprons.average_vp(0.0, view, 0.0, f);
   EXPECT_LE(avg, 0.05 + 1e-12);
   // Rubik+ would have run fast enough for the tight one alone.
-  RubikPlusPolicy rubik_plus(&model);
+  StatisticalPolicy rubik_plus(&model, kRubikPlus);
   const Freq f_plus = rubik_plus.select_frequency(0.0, view, 0.0);
   EXPECT_LE(f, f_plus);
   (void)vp_tight;  // informational; the average bound is the contract
@@ -245,15 +252,15 @@ TEST(Policies, EpronsAllowsIndividualViolationsAboveBudget) {
 
 TEST(Policies, EpronsRequestsEdfReorder) {
   const ServiceModel model = test_model();
-  EpronsServerPolicy eprons(&model);
-  RubikPolicy rubik(&model);
+  StatisticalPolicy eprons(&model);
+  StatisticalPolicy rubik(&model, kRubik);
   EXPECT_TRUE(eprons.reorder_edf());
   EXPECT_FALSE(rubik.reorder_edf());
 }
 
 TEST(Policies, ImpossibleDeadlineFallsBackToMaxFrequency) {
   const ServiceModel model = test_model();
-  EpronsServerPolicy eprons(&model);
+  StatisticalPolicy eprons(&model);
   const QueuedRequest r = make_request(1, 0.0, 1.0, 1.0);  // 1 us deadline
   EXPECT_DOUBLE_EQ(eprons.select_frequency(
                        0.0, std::span<const QueuedRequest>(&r, 1), 0.0),
@@ -310,35 +317,31 @@ TEST(Policies, FactoryProducesAllNames) {
   EXPECT_THROW(make_policy("bogus", &model), std::invalid_argument);
 }
 
-TEST(Policies, EpronsMaxVpVariantMatchesRubikPlus) {
-  // Internal consistency: disabling the average-VP rule must reproduce the
-  // Rubik+ frequency choice exactly (same deadlines, same max-VP rule).
+TEST(Policies, FactoryNamesReportTheirPolicyAndQueueOrder) {
   const ServiceModel model = test_model();
-  EpronsFeatures features;
-  features.average_vp = false;
-  EpronsServerPolicy ablated(&model, {}, features);
-  RubikPlusPolicy rubik_plus(&model);
-  Rng rng(123);
-  for (int trial = 0; trial < 25; ++trial) {
-    std::vector<QueuedRequest> queue;
-    const int n = 1 + static_cast<int>(rng.uniform_int(0, 3));
-    for (int i = 0; i < n; ++i) {
-      const SimTime deadline = rng.uniform(ms(15.0), ms(45.0));
-      queue.push_back(make_request(i, 0.0, deadline - ms(2.0), deadline));
-    }
-    const std::span<const QueuedRequest> view(queue.data(), queue.size());
-    EXPECT_DOUBLE_EQ(ablated.select_frequency(0.0, view, 0.0),
-                     rubik_plus.select_frequency(0.0, view, 0.0))
-        << "trial " << trial;
+  struct Expected {
+    const char* name;
+    const char* policy;
+    bool edf;
+  };
+  for (const Expected& e : {Expected{"max", "no-power-management", false},
+                            Expected{"rubik", "rubik", false},
+                            Expected{"rubik+", "rubik+", false},
+                            Expected{"eprons", "eprons-server", true},
+                            Expected{"eprons-noedf", "eprons-server", false},
+                            Expected{"eprons-noslack", "eprons-server", true},
+                            Expected{"eprons-maxvp", "eprons-server", true},
+                            Expected{"timetrader", "timetrader", false}}) {
+    const auto policy = make_policy(e.name, &model);
+    EXPECT_EQ(policy->name(), e.policy) << e.name;
+    EXPECT_EQ(policy->reorder_edf(), e.edf) << e.name;
   }
 }
 
 TEST(Policies, EpronsNoSlackUsesServerDeadline) {
   const ServiceModel model = test_model();
-  EpronsFeatures features;
-  features.use_network_slack = false;
-  EpronsServerPolicy no_slack(&model, {}, features);
-  EpronsServerPolicy with_slack(&model);
+  StatisticalPolicy no_slack(&model, {.use_network_slack = false});
+  StatisticalPolicy with_slack(&model);
   // Tight server deadline, generous slack: the no-slack variant must run
   // at least as fast.
   const QueuedRequest r = make_request(1, 0.0, ms(14.0), ms(25.0));
@@ -626,8 +629,8 @@ class SingleRequestAgreement : public ::testing::TestWithParam<double> {};
 
 TEST_P(SingleRequestAgreement, EpronsEqualsRubikPlus) {
   const ServiceModel model = test_model();
-  RubikPlusPolicy rubik_plus(&model);
-  EpronsServerPolicy eprons(&model);
+  StatisticalPolicy rubik_plus(&model, kRubikPlus);
+  StatisticalPolicy eprons(&model);
   const SimTime deadline = ms(GetParam());
   const QueuedRequest r = make_request(1, 0.0, deadline, deadline);
   const std::span<const QueuedRequest> view(&r, 1);

@@ -252,12 +252,6 @@ TEST(FastPath, BlockLogBitIdenticalToScalarLog) {
     } while (v == 0.0);
   }
 
-  std::vector<double> block(x);
-  fast_log_block(block.data(), block.data(), block.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(block[i], fast_log(x[i])) << "i=" << i << " x=" << x[i];
-  }
-
   std::vector<double> even(x);
   std::vector<double> odd(x.size());
   fast_log_block_antithetic(even.data(), even.data(), odd.data(), x.size());
@@ -292,7 +286,8 @@ TEST(FastPath, BatchEstimateMatchesSingleShot) {
   const GreedyConsolidator greedy(&topo);
   const auto placement = greedy.consolidate(flows, ConsolidationConfig{});
   ASSERT_TRUE(placement.feasible);
-  const LinkUtilization load = placement.offered_load(topo.graph(), flows);
+  const LinkUtilization load =
+      scenario_offered_load(topo.graph(), placement, flows, {}, {}, 0.0, 0.0);
 
   SlackEstimatorConfig config;
   config.samples_per_pair = 200;
@@ -343,7 +338,8 @@ struct SlackGoldenFixture {
     };
     // Query 0: a plain hot request path (burst only), an elephant on a
     // reply path (collision only) and a hot elephant (both).
-    LinkUtilization hot = placement.offered_load(topo.graph(), flows);
+    LinkUtilization hot = scenario_offered_load(topo.graph(), placement, flows,
+                                                {}, {}, 0.0, 0.0);
     hot.add_path_load(path(request_flows[4]), 760.0);
     hot.add_path_load(path(reply_flows[8]), 300.0, /*bursty=*/true);
     hot.add_path_load(path(request_flows[11]), 820.0, /*bursty=*/true);
@@ -436,8 +432,9 @@ LinkUtilization high_term_load(const SlackGoldenFixture& fixture) {
   const auto path = [&](FlowId id) -> const Path& {
     return fixture.placement.flow_paths[static_cast<std::size_t>(id)];
   };
-  LinkUtilization load = fixture.placement.offered_load(
-      fixture.topo.graph(), fixture.flows);
+  LinkUtilization load =
+      scenario_offered_load(fixture.topo.graph(), fixture.placement,
+                            fixture.flows, {}, {}, 0.0, 0.0);
   load.add_path_load(path(fixture.request_flows[3]), 780.0);
   load.add_path_load(path(fixture.request_flows[9]), 960.0);
   load.add_path_load(path(fixture.reply_flows[5]), 300.0, /*bursty=*/true);

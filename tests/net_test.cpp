@@ -4,6 +4,8 @@
 
 #include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "net/link_latency.h"
 #include "net/link_utilization.h"
@@ -60,8 +62,9 @@ TEST(LinkLatency, SamplesBoundedAndMeanConsistent) {
   Rng rng(41);
   double total = 0.0;
   const int n = 100000;
+  const PreparedHop hop = model.prepare_hop(0.5, 0.0);
   for (int i = 0; i < n; ++i) {
-    const SimTime s = model.sample_latency(0.5, rng);
+    const SimTime s = model.sample_prepared(hop, rng);
     EXPECT_GE(s, model.config().base_latency_us);
     EXPECT_LE(s, model.max_latency() + 1e-9);
     total += s;
@@ -110,10 +113,10 @@ class LinkLatencySample : public ::testing::TestWithParam<double> {};
 
 TEST_P(LinkLatencySample, AlwaysAtLeastBase) {
   const LinkLatencyModel model;
+  const PreparedHop hop = model.prepare_hop(GetParam(), 0.0);
   Rng rng(43);
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_GE(model.sample_latency(GetParam(), rng),
-              model.config().base_latency_us);
+    EXPECT_GE(model.sample_prepared(hop, rng), model.config().base_latency_us);
   }
 }
 
@@ -129,28 +132,8 @@ TEST(LinkUtilization, DirectedAccounting) {
   EXPECT_DOUBLE_EQ(load.directed_load(path[0], path[1]), 500.0);
   // Reverse direction untouched.
   EXPECT_DOUBLE_EQ(load.directed_load(path[1], path[0]), 0.0);
-  EXPECT_DOUBLE_EQ(load.directed_utilization(path[0], path[1]), 0.5);
-}
-
-TEST(LinkUtilization, RemoveRestoresZero) {
-  const FatTree ft(4);
-  LinkUtilization load(&ft.graph());
-  const Path path = ft.all_paths(0, 15)[0];
-  load.add_path_load(path, 100.0);
-  load.remove_path_load(path, 100.0);
-  EXPECT_DOUBLE_EQ(load.max_utilization(), 0.0);
-  EXPECT_EQ(load.active_directed_links(), 0);
-}
-
-TEST(LinkUtilization, MaxPathUtilization) {
-  const FatTree ft(4);
-  LinkUtilization load(&ft.graph());
-  const Path a = ft.all_paths(0, 15)[0];
-  load.add_path_load(a, 900.0);
-  EXPECT_DOUBLE_EQ(load.max_path_utilization(a), 0.9);
-  // A disjoint path should be clean.
-  const Path b = ft.all_paths(2, 3)[0];
-  EXPECT_DOUBLE_EQ(load.max_path_utilization(b), 0.0);
+  EXPECT_DOUBLE_EQ(load.directed_utilizations(path[0], path[1]).utilization,
+                   0.5);
 }
 
 TEST(LinkUtilization, AccumulatesMultipleFlows) {
@@ -186,6 +169,50 @@ TEST(PathLatency, HotPathSlowerThanColdPath) {
   load.add_path_load(paths[0], 940.0);
   PathLatencyEstimator est(&load, LinkLatencyModel{});
   EXPECT_GT(est.mean_latency(paths[0]), est.mean_latency(paths[3]));
+}
+
+TEST(PathLatency, SampleLatencyDrawsThePreparedBits) {
+  // Elephants load links past the knee (burst term) with a duty cycle
+  // (collision term), one link past capacity: every term of the per-hop
+  // draw fires. From equal seeds, sampling a path and sampling its
+  // prepared hops return the same bits draw for draw and leave both
+  // streams in the same state.
+  const FatTree ft(4);
+  LinkUtilization load(&ft.graph());
+  const auto hot = ft.all_paths(0, 15);
+  load.add_path_load(hot[0], 820.0, /*bursty=*/true);
+  load.add_path_load(hot[1], 300.0, /*bursty=*/true);
+  load.add_path_load(hot[2], 930.0);
+  load.add_path_load(ft.all_paths(4, 6)[0], 760.0, /*bursty=*/true);
+  const PathLatencyEstimator est(&load, LinkLatencyModel{});
+  bool burst = false;
+  bool collision = false;
+  bool saturated = false;
+  std::vector<PreparedHop> hops;
+  for (const auto& [src, dst] :
+       {std::pair{0, 15}, std::pair{15, 0}, std::pair{4, 6}, std::pair{1, 14},
+        std::pair{0, 1}}) {
+    for (const Path& path : ft.all_paths(src, dst)) {
+      est.prepare(path, &hops);
+      for (std::size_t i = 0; i < hops.size(); ++i) {
+        burst = burst || hops[i].p_burst > 0.0;
+        collision = collision || hops[i].bursty > 0.0;
+        saturated = saturated ||
+                    load.directed_utilizations(path[i], path[i + 1])
+                            .utilization > 1.0;
+      }
+      Rng a(src * 31 + dst);
+      Rng b(src * 31 + dst);
+      for (int draw = 0; draw < 2000; ++draw) {
+        ASSERT_EQ(est.sample_latency(path, a), est.sample_prepared(hops, b))
+            << src << "->" << dst << " draw " << draw;
+      }
+      EXPECT_EQ(a.state(), b.state()) << src << "->" << dst;
+    }
+  }
+  EXPECT_TRUE(burst);
+  EXPECT_TRUE(collision);
+  EXPECT_TRUE(saturated);
 }
 
 TEST(PathLatency, SamplesBoundedByMax) {

@@ -12,7 +12,8 @@
 //   * golden ServingWindowRecord serialization;
 //   * DES golden digests: both drivers of the partition-aggregate core
 //     (moderate and overload serving, healthy and faulted cluster,
-//     TimeTrader feedback) pinned bit for bit.
+//     TimeTrader feedback, one cluster run per remaining DVFS policy
+//     name) pinned bit for bit.
 #include <cmath>
 #include <sstream>
 
@@ -646,6 +647,48 @@ TEST(DesGolden, SearchClusterMetricsMatchReferenceBits) {
   EXPECT_GT(faulted.metrics.subqueries_dropped, 0u);
   mix_cluster(&digest, faulted.metrics);
   EXPECT_EQ(digest.value(), 0x5b03b614d609b5aeull);
+}
+
+TEST(DesGolden, SearchClusterPolicyNamesMatchReferenceBits) {
+  // One short healthy run per make_policy name that no golden above pins
+  // ("eprons" and "timetrader" are): the max-frequency baseline, Rubik,
+  // Rubik+ and the three EPRONS-Server ablations, each deciding every
+  // core's frequency in its own run. The load is high enough that waiting
+  // queues form and EDF reorders them (at 0.3, a rule's EDF and FIFO runs
+  // are identical), so Rubik+ and "eprons-maxvp", which differ only in
+  // queue order, differ here.
+  const Scenario scn = serve_scenario();
+  Rng bg_rng(3);
+  const FlowSet background =
+      make_background_flows(scn.flow_gen(), 6, 0.1, 0.1, bg_rng);
+  struct Run {
+    const char* policy;
+    std::uint64_t digest;
+  };
+  const Run runs[] = {
+      {"max", 0x2baba138cafc5d06ull},
+      {"rubik", 0x29ec0725bad8a470ull},
+      {"rubik+", 0x24c207804190879full},
+      {"eprons-noedf", 0xb7f4ae930832c0dull},
+      {"eprons-noslack", 0x53cd4f6ed664e934ull},
+      {"eprons-maxvp", 0x9964e76d630c56eeull},
+  };
+  std::vector<std::uint64_t> digests;
+  for (const Run& run : runs) {
+    ScenarioConfig config;
+    config.cluster.policy = run.policy;
+    config.cluster.target_utilization = 0.75;
+    config.cluster.warmup = sec(0.5);
+    config.cluster.duration = sec(2.0);
+    config.cluster.seed = 42;
+    const ScenarioResult result = scn.run(background, config);
+    EXPECT_GT(result.metrics.queries_completed, 0u) << run.policy;
+    BitDigest digest;
+    mix_cluster(&digest, result.metrics);
+    EXPECT_EQ(digest.value(), run.digest) << run.policy;
+    digests.push_back(digest.value());
+  }
+  EXPECT_NE(digests[2], digests[5]);  // rubik+ vs eprons-maxvp: EDF only
 }
 
 TEST(DesGolden, SearchClusterTimeTraderFeedbackMatchesReferenceBits) {

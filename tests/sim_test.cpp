@@ -425,9 +425,7 @@ TEST(SimServer, EdfPolicyReordersWaitingRequests) {
   std::vector<RequestId> completed;
   SimServer server(
       &events, &model, &power,
-      [](const ServiceModel* m) {
-        return std::make_unique<EpronsServerPolicy>(m);
-      },
+      [](const ServiceModel* m) { return make_policy("eprons", m); },
       [&](const ServerCompletion& c) { completed.push_back(c.request.meta.id); });
   // Head (id 0) is in service; ids 1..3 wait with inverted deadlines.
   for (int i = 0; i < 4; ++i) {
@@ -476,9 +474,7 @@ TEST(SimServer, ArrivalMidServiceReschedulesConsistently) {
   int done = 0;
   SimServer server(
       &events, &model, &power,
-      [](const ServiceModel* m) {
-        return std::make_unique<RubikPolicy>(m);
-      },
+      [](const ServiceModel* m) { return make_policy("rubik", m); },
       [&](const ServerCompletion&) { ++done; });
   ServerRequest first = request_with(10e6, ms(25.0));
   first.meta.deadline_with_slack = ms(25.0);

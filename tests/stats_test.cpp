@@ -515,28 +515,5 @@ TEST(SelectRanks, OrdersNegativeZeroFirstAndRejectsBadRanks) {
   EXPECT_THROW(select_ranks(values, ranks, two), std::invalid_argument);
 }
 
-TEST(OnlineStats, MatchesClosedForm) {
-  OnlineStats s;
-  for (int i = 1; i <= 5; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 2.5);  // sample variance of 1..5
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(OnlineStats, MergeEqualsSinglePass) {
-  Rng rng(7);
-  OnlineStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(2.0, 3.0);
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-}
-
 }  // namespace
 }  // namespace eprons

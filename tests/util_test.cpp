@@ -178,7 +178,8 @@ TEST(Rng, DrawNormalsMatchSuccessiveCalls) {
         for (double& x : expected) {
           x = log ? serial.lognormal(0.5, 0.2) : serial.normal(3.0, 1.5);
         }
-        const NormalDraws draws = bulk.draw_normals(count);
+        NormalDraws draws;
+        bulk.draw_normals(count, &draws);
         ASSERT_EQ(draws.size(), count) << label;
         const auto eval = [&](std::size_t first, std::size_t n, double* out) {
           if (log) {
@@ -212,6 +213,27 @@ TEST(Rng, DrawNormalsMatchSuccessiveCalls) {
       }
     }
   }
+  // One NormalDraws reused across calls, as EpochController keeps it: each
+  // call overwrites the last whole. An odd number of fresh variates leaves
+  // a sine half cached, which leads the next call (4, 6, 3 and 1 here);
+  // 1000 follows a call that had a cached lead and has none; counts shrink
+  // as well as grow.
+  Rng serial(97);
+  Rng bulk(97);
+  NormalDraws draws;
+  for (const std::size_t count :
+       {5u, 4u, 6u, 3u, 1000u, 2u, 7u, 0u, 1u, 0u, 9u, 8u}) {
+    bulk.draw_normals(count, &draws);
+    ASSERT_EQ(draws.size(), count);
+    std::vector<double> got(count);
+    draws.normal(0, count, 3.0, 1.5, got.data());
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(got[i], serial.normal(3.0, 1.5))
+          << "reused, count=" << count << " i=" << i;
+    }
+  }
+  EXPECT_EQ(bulk.normal(), serial.normal());
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(bulk.next(), serial.next());
 }
 
 TEST(Rng, PoissonMeanMatchesSmallAndLarge) {
